@@ -65,7 +65,6 @@ core::FleetOptions make_options(int tenants, const std::string& durable_dir) {
   opt.framework.check_period = SimTime::seconds(1);
   opt.manager.coalesce_window = SimTime::seconds(1);
   opt.manager.sweep_threads = 0;  // hardware concurrency
-  opt.coordinated = true;
   opt.durability.dir = durable_dir;  // "" = plane disabled
   return opt;
 }
@@ -82,12 +81,12 @@ RunResult run_once(int tenants, const std::string& durable_dir) {
       sim, make_options(tenants, durable_dir));
   fleet->start();
   const auto t0 = Clock::now();
-  sim.run_until(SimTime::seconds(kHorizonS));
+  fleet->run_until(SimTime::seconds(kHorizonS));
   const auto t1 = Clock::now();
 
   RunResult r;
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  r.events = sim.executed();
+  r.events = sim.executed() + fleet->coordinator()->stats().shard_events;
   for (std::size_t t = 0; t < fleet->tenant_count(); ++t) {
     r.repairs += fleet->tenant(t).framework->engine().records().size();
   }

@@ -100,7 +100,7 @@ int run_crashy_fleet(std::uint64_t seed) {
   opt.config.fault.fleet.crash_duration = SimTime::seconds(90);
   auto fleet = core::FrameworkBuilder::build_fleet(sim, opt);
   fleet->start();
-  sim.run_until(SimTime::seconds(400));
+  fleet->run_until(SimTime::seconds(400));
 
   std::uint64_t crashes = 0;
   for (std::size_t t = 0; t < fleet->tenant_count(); ++t) {
@@ -113,7 +113,7 @@ int run_crashy_fleet(std::uint64_t seed) {
   if (crashes == 0) {
     return fail("crashy-fleet", seed, "no tenant crash was injected");
   }
-  if (!mgr || mgr->stats().shards_quarantined == 0) {
+  if (mgr->stats().shards_quarantined == 0) {
     return fail("crashy-fleet", seed,
                 "no shard was quarantined despite every tenant crashing");
   }

@@ -1,26 +1,26 @@
 // Fleet assembly: N tenant stacks — testbed, monitoring, model shard,
-// repair engine — over ONE simulator, coordinated by a FleetManager.
+// repair engine — coordinated by one FleetManager and advanced by the
+// sharded simulation kernel.
 //
-//   sim::Simulator sim;
+//   sim::Simulator sim;                    // the control clock
 //   core::FleetOptions opt;
 //   opt.tenants = 8;                       // 0 = scenario default
-//   opt.sim_threads = 4;                   // 0 = legacy shared simulator
+//   opt.sim_threads = 4;                   // worker threads, >= 1
 //   auto fleet = core::FrameworkBuilder::build_fleet(sim, opt);
 //   fleet->start();
 //   fleet->run_until(SimTime::seconds(600));
 //
-// With sim_threads > 0 each tenant runs on a private ShardSimulator and a
-// SimCoordinator advances them concurrently in conservative time windows
-// (DESIGN.md §9); `sim` becomes the control clock (sweeps, snapshots).
-// Event order is bit-identical for any sim_threads >= 1.
+// Each tenant runs on a private ShardSimulator and a SimCoordinator
+// advances them concurrently in conservative time windows (DESIGN.md §9);
+// `sim` carries only the control events (sweeps, snapshots), so drive the
+// run with Fleet::run_until — Simulator::run_until on `sim` would advance
+// no tenant traffic. Event order is bit-identical for any sim_threads.
 //
 // Every tenant is a full Framework (its own probes, gauges, buses, model,
 // constraint checker, and repair engine) built from a registered scenario;
 // the scenario's `fleet.tenant_index` is looped to clone phase-shifted
-// tenants. With `coordinated` (the default), the per-tenant architecture
-// managers are passive and the FleetManager batches reports and sweeps in
-// parallel; with it off, every tenant runs the classic per-tenant loop —
-// the baseline bench_fleet_scaling measures against.
+// tenants. The per-tenant architecture managers are passive: the
+// FleetManager batches their reports and sweeps all of them in parallel.
 #pragma once
 
 #include <memory>
@@ -51,9 +51,9 @@ struct FleetOptions {
   /// `framework` (single source of truth for the check cadence); the
   /// values here apply only to a standalone FleetManager.
   FleetManagerConfig manager;
-  /// true: passive tenant managers + FleetManager (batched, parallel).
-  /// false: classic per-tenant control loops, no FleetManager — the naive
-  /// baseline for A/B runs.
+  /// Must stay true: tenants always run passive managers under the
+  /// FleetManager. false (the retired per-tenant loops) throws
+  /// arcadia::Error.
   bool coordinated = true;
 
   /// Shared durability plane: ONE journal/snapshot stream for the whole
@@ -64,15 +64,14 @@ struct FleetOptions {
   /// tenant here — a fleet must not scatter N private journals.)
   durability::Options durability;
 
-  /// Sharded simulation kernel (DESIGN.md §9). 0 = legacy: every tenant's
-  /// events run on the one shared simulator. >= 1 = each tenant gets a
-  /// private ShardSimulator advanced in conservative time windows by a
-  /// SimCoordinator with this many worker threads; drive the run with
-  /// Fleet::run_until instead of Simulator::run_until. The event order —
+  /// Worker threads of the sharded simulation kernel (DESIGN.md §9): each
+  /// tenant gets a private ShardSimulator advanced in conservative time
+  /// windows by a SimCoordinator with this many workers. The event order —
   /// and therefore every repair, journal byte, and fault draw — is
   /// bit-identical for sim_threads = 1 and sim_threads = N (windows are
   /// serial per shard; all coupling happens at barriers in shard order).
-  std::size_t sim_threads = 0;
+  /// 0 throws arcadia::Error.
+  std::size_t sim_threads = 1;
 };
 
 /// One tenant's stack. Heap-allocated and pinned: the framework holds
@@ -82,13 +81,13 @@ struct FleetTenant {
   std::string name;
   sim::Testbed testbed;
   std::unique_ptr<Framework> framework;
-  /// The tenant's sub-simulator under the sharded kernel (owned by the
-  /// coordinator; null in legacy mode). testbed and framework run on its
-  /// clock, inside its lane.
+  /// The tenant's sub-simulator (owned by the coordinator; never null once
+  /// the Fleet is built). testbed and framework run on its clock, inside
+  /// its lane.
   sim::ShardSimulator* shard = nullptr;
 
-  /// SerialLane token for this tenant (0 in legacy mode: thread-keyed).
-  std::uintptr_t lane() const { return shard ? shard->lane() : 0; }
+  /// SerialLane token for this tenant.
+  std::uintptr_t lane() const { return shard->lane(); }
 };
 
 class Fleet {
@@ -103,20 +102,19 @@ class Fleet {
   /// Start every tenant's framework and drivers, then the fleet manager.
   void start();
 
-  /// Advance the fleet to `horizon`. Legacy mode runs the shared simulator
-  /// directly; sharded mode runs the coordinator's window loop and drains
+  /// Advance the fleet to `horizon`: the coordinator's window loop, draining
   /// staged journal records at every barrier (and once more at the end).
-  /// Returns total events executed.
+  /// Returns the events executed (control and shard events together).
   std::uint64_t run_until(SimTime horizon);
 
   std::size_t tenant_count() const { return tenants_.size(); }
   FleetTenant& tenant(std::size_t i) { return *tenants_[i]; }
   const FleetTenant& tenant(std::size_t i) const { return *tenants_[i]; }
-  /// Null when options.coordinated was false.
+  /// Never null.
   FleetManager* manager() { return manager_.get(); }
   /// Null unless options.durability was set.
   durability::DurabilityPlane* durability_plane() { return plane_.get(); }
-  /// Null unless options.sim_threads > 0.
+  /// Never null.
   sim::SimCoordinator* coordinator() { return coordinator_.get(); }
   const FleetOptions& options() const { return options_; }
 
@@ -137,9 +135,9 @@ class Fleet {
   /// it through raw sink pointers, so it must be destroyed after every
   /// framework and after the final drain.
   std::unique_ptr<durability::DurabilityPlane> plane_;
-  /// Per-tenant journal staging under the sharded kernel (parallel windows
-  /// may not write the single-writer plane); indexed by shard. Declared
-  /// before the tenants so teardown-time journaling still has a sink.
+  /// Per-tenant journal staging (parallel windows may not write the
+  /// single-writer plane); indexed by shard. Declared before the tenants so
+  /// teardown-time journaling still has a sink.
   std::vector<std::unique_ptr<durability::StagingSink>> staging_;
   /// Owns the ShardSimulators the tenant testbeds run on — destroyed after
   /// the tenants that reference them.

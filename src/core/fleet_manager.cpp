@@ -29,7 +29,7 @@ FleetManager::ShardId FleetManager::add_shard(std::string name,
   shard.manager = &manager;
   shard.bus = &gauge_bus;
   shard.manager_node = manager_node;
-  shard.clock = &sim_;  // legacy default; bind_shard_executor overrides
+  shard.clock = &sim_;  // unbound default; bind_shard_executor overrides
   shards_.push_back(std::move(shard));
   return shards_.size() - 1;
 }

@@ -1,7 +1,7 @@
-// Fleet-scale adaptation (the ROADMAP's many-tenant north star): one
-// simulator hosts N independent tenant applications, each with its own
-// architectural model *shard* (an ArchitectureManager in passive mode), and
-// a single FleetManager coordinates the control loop across all of them:
+// Fleet-scale adaptation: N independent tenant applications, each with its
+// own architectural model *shard* (an ArchitectureManager in passive mode),
+// and a single FleetManager coordinating the control loop across all of
+// them:
 //
 //   * batched gauge application — reports landing on a shard's gauge bus
 //     within a coalescing window are applied in one model pass; reports for
@@ -20,10 +20,9 @@
 // Violation dispatch — and therefore every repair, every model mutation,
 // every scheduled simulator event — happens afterwards on the simulation
 // thread in fixed shard order. A fleet run is bit-for-bit identical for any
-// sweep_threads value — and, under the sharded kernel (core::Fleet with
-// sim_threads > 0, DESIGN.md §9), for any simulation-thread count: shard
-// windows are serial per shard and the sweep runs at barriers where every
-// clock agrees.
+// sweep_threads value — and, under core::Fleet's sharded kernel (DESIGN.md
+// §9), for any simulation-thread count: shard windows are serial per shard
+// and the sweep runs at barriers where every clock agrees.
 #pragma once
 
 #include <array>
@@ -111,8 +110,8 @@ struct FleetStats {
   std::uint64_t shard_skips = 0;      ///< sum of per-shard skips
   std::uint64_t shards_quarantined = 0;  ///< quarantine entries, fleet-wide
   /// Real (host) wall-clock spent inside run_sweep — flush + parallel
-  /// detect + ordered dispatch. The apples-to-apples counterpart of
-  /// ArchManagerStats::check_wall_s summed over naive per-tenant loops.
+  /// detect + ordered dispatch. The fleet counterpart of
+  /// ArchManagerStats::check_wall_s.
   double sweep_wall_s = 0.0;
 };
 
@@ -155,14 +154,14 @@ class FleetManager {
   }
   ShardHealth shard_health(ShardId id) const { return shards_[id].health; }
 
-  /// Sharded-kernel binding (core::Fleet with sim_threads > 0): shard `id`'s
-  /// tenant events run on `clock` (its ShardSimulator) inside logical lane
-  /// `lane`. Report enqueueing, coalescing timers, and liveness stamps then
-  /// use the shard clock — which leads the control clock mid-window — and
-  /// the per-shard SerialDomain keys on the lane, so windows may migrate
-  /// between pool workers. Unbound shards (legacy single-simulator fleets)
-  /// keep clock = the control simulator and lane = 0 (thread-keyed). Call
-  /// after add_shard, before start().
+  /// Sharded-kernel binding (what core::Fleet does for every tenant): shard
+  /// `id`'s tenant events run on `clock` (its ShardSimulator) inside logical
+  /// lane `lane`. Report enqueueing, coalescing timers, and liveness stamps
+  /// then use the shard clock — which leads the control clock mid-window —
+  /// and the per-shard SerialDomain keys on the lane, so windows may migrate
+  /// between pool workers. An unbound shard (a hand-rolled rig whose
+  /// tenants share the manager's simulator) keeps clock = that simulator and
+  /// lane = 0 (thread-keyed). Call after add_shard, before start().
   void bind_shard_executor(ShardId id, sim::Simulator* clock,
                            std::uintptr_t lane);
 
@@ -194,9 +193,9 @@ class FleetManager {
     events::SubscriptionId lifecycle_sub = 0;
 
     /// Executor binding (bind_shard_executor): the clock tenant events run
-    /// on — the control simulator for legacy fleets, the shard's private
-    /// ShardSimulator under the sharded kernel — and the SerialLane token
-    /// of that shard (0 = none). All per-shard mutation goes through
+    /// on — the shard's private ShardSimulator, or the manager's own
+    /// simulator when unbound — and the SerialLane token of that shard
+    /// (0 = none). All per-shard mutation goes through
     /// `serial`, keyed on the lane, instead of the fleet-wide serial_.
     sim::Simulator* clock = nullptr;
     std::uintptr_t lane = 0;
@@ -250,8 +249,8 @@ class FleetManager {
   sim::Simulator& sim_;
   FleetManagerConfig config_;
   /// Concurrency capability: each shard's state is owned by its serial
-  /// execution context — the simulation thread for legacy fleets, the
-  /// shard's lane under the sharded kernel (windows migrate between pool
+  /// execution context — the shard's lane under the sharded kernel, the
+  /// simulation thread when unbound (windows migrate between pool
   /// workers but are serial per shard, and barrier-time work re-enters the
   /// lane). run_sweep farms the *detection* phase to the pool, but those
   /// tasks only call const ArchitectureManager::detect() on disjoint

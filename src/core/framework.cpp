@@ -158,28 +158,18 @@ Framework::Framework(sim::Simulator& sim, sim::Testbed& testbed,
   checker.instantiate(script_);
 
   // Durability plane last: every collaborator it journals for exists now.
-  // A fleet attaches its shared plane instead (attach_durability overrides
-  // this solo wiring before start()).
+  // (A fleet disables it per tenant and attaches a staging sink instead.)
   if (config_.durability.enabled()) {
     durability_plane_ =
         std::make_unique<durability::DurabilityPlane>(config_.durability);
-    attach_durability(durability_plane_.get(), /*shard=*/0);
+    attach_journal_sink(durability_plane_.get(), /*shard=*/0);
   }
 }
 
 Framework::~Framework() = default;
 
-void Framework::attach_durability(durability::DurabilityPlane* plane,
-                                  std::uint32_t shard) {
-  durability_sink_ = plane;
-  durability_shard_ = shard;
-  engine_->set_journal_sink(plane, shard);
-  manager_->set_journal_sink(plane, shard);
-}
-
 void Framework::attach_journal_sink(durability::JournalSink* sink,
                                     std::uint32_t shard) {
-  durability_sink_ = nullptr;  // snapshots belong to whoever owns the plane
   durability_shard_ = shard;
   engine_->set_journal_sink(sink, shard);
   manager_->set_journal_sink(sink, shard);

@@ -58,10 +58,10 @@ struct FrameworkConfig {
   SimTime abort_cooldown = SimTime::seconds(60);
   double load_improvement = 2.0;
 
-  /// Enact repairs through the staged AdaptationPlan pipeline (lifted op
-  /// records, cost-aware optimization, overlapped execution). Off = the
-  /// paper's strictly sequential record replay, kept as the measured
-  /// baseline of bench_fig11_repair_latency.
+  /// Optimize repair plans and overlap their independent steps. Off = the
+  /// same plan unoptimized, one step at a time: the paper's strictly
+  /// sequential shape, kept as the measured baseline of
+  /// bench_fig11_repair_latency.
   bool plan_pipeline = true;
   /// Let a strictly worse violation abort a plan in flight (compensating
   /// enacted steps) and start its own repair — pair with the
@@ -176,23 +176,19 @@ class Framework {
   /// Null unless config().fault.enabled.
   fault::FaultPlane* fault_plane() { return fault_plane_.get(); }
 
-  /// The journal/snapshot plane this framework reports into, or null when
-  /// durability is off. Solo frameworks own theirs (config().durability);
-  /// fleet tenants share the Fleet's plane via attach_durability().
-  durability::DurabilityPlane* durability_plane() { return durability_sink_; }
+  /// The journal/snapshot plane this framework owns (config().durability),
+  /// or null when durability is off. Fleet tenants own none: they journal
+  /// through attach_journal_sink().
+  durability::DurabilityPlane* durability_plane() {
+    return durability_plane_.get();
+  }
 
-  /// Wire an externally-owned durability plane (the fleet's shared journal).
-  /// Every repair commit, plan event, and applied gauge fold on this
-  /// framework is journaled under `shard`. Call before start().
-  void attach_durability(durability::DurabilityPlane* plane,
-                         std::uint32_t shard);
-
-  /// Wire a bare JournalSink instead of a plane: the sharded fleet kernel
-  /// gives every tenant a per-shard durability::StagingSink (drained into
-  /// the shared plane at window barriers), so tenants never touch the
-  /// single-writer plane from pool workers. Unlike attach_durability this
-  /// leaves durability_plane() null — snapshot capture stays with the
-  /// Fleet, which owns the real plane. Call before start().
+  /// Journal into a bare JournalSink: a fleet gives every tenant a
+  /// per-shard durability::StagingSink (drained into the shared plane at
+  /// window barriers), so tenants never touch the single-writer plane from
+  /// pool workers. Every repair commit, plan event, and applied gauge fold
+  /// is journaled under `shard`; snapshot capture stays with the Fleet,
+  /// which owns the real plane. Call before start().
   void attach_journal_sink(durability::JournalSink* sink, std::uint32_t shard);
 
   /// Capture this framework's durable state for a snapshot: the full model
@@ -238,7 +234,6 @@ class Framework {
   // Durability: the owned plane (solo mode, null when config_.durability is
   // empty or a fleet plane was attached) and the active sink (own or shared).
   std::unique_ptr<durability::DurabilityPlane> durability_plane_;
-  durability::DurabilityPlane* durability_sink_ = nullptr;
   std::uint32_t durability_shard_ = 0;
   std::unique_ptr<sim::PeriodicTask> snapshot_task_;
   bool started_ = false;

@@ -63,10 +63,11 @@ class FrameworkBuilder {
   /// Assemble and start: probes deployed, Remos warmed, checking armed.
   std::unique_ptr<Framework> build_started();
 
-  /// Fleet-mode entry point: N tenant frameworks over one simulator,
-  /// coordinated by a FleetManager (batched gauge application + parallel
-  /// constraint sweep). Static because a fleet spans many testbeds where
-  /// the builder instance is bound to one. See core/fleet.hpp.
+  /// Fleet-mode entry point: N tenant frameworks on the sharded kernel,
+  /// `sim` as the control clock, coordinated by a FleetManager (batched
+  /// gauge application + parallel constraint sweep). Static because a
+  /// fleet spans many testbeds where the builder instance is bound to one.
+  /// See core/fleet.hpp.
   static std::unique_ptr<Fleet> build_fleet(sim::Simulator& sim,
                                             FleetOptions options);
 

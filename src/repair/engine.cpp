@@ -81,7 +81,7 @@ bool RepairEngine::touched_by_active(util::Symbol element) const {
 
 bool RepairEngine::handle_violations(const std::vector<Violation>& violations) {
   const bool preemptable =
-      busy_ && config_.use_plan && config_.preemption && active_.has_value();
+      busy_ && config_.preemption && active_.has_value();
   if (busy_ && !preemptable) return false;
   std::vector<const Violation*> candidates;
   for (const Violation& v : violations) {
@@ -190,52 +190,50 @@ void RepairEngine::execute(const Violation& violation) {
     busy_ = true;
     const SimTime pre = record.decision_cost + record.query_cost + start_delay;
 
+    // Lift the committed journal into a plan and enact it after the
+    // decision + query charge.
+    AdaptationPlan plan =
+        build_plan(op_records, config_.conventions, translator_, gauges_);
     if (config_.use_plan) {
-      // Lift the committed journal into a plan, optimize it, and enact it
-      // after the decision + query charge.
-      AdaptationPlan plan =
-          build_plan(op_records, config_.conventions, translator_, gauges_);
       const PlanOptimizerStats opt = optimize_plan(plan, &effect_table_);
       stats_.plan_steps_merged += opt.moves_merged + opt.gauges_batched;
-      record.plan_steps = static_cast<int>(plan.steps.size());
       record.plan_steps_merged =
           static_cast<int>(opt.moves_merged + opt.gauges_batched);
-      ARC_DEBUG << "  plan: " << plan.steps.size() << " steps ("
-                << plan.runtime_step_count() << " runtime), est critical "
-                << plan.estimated_critical_path().as_seconds() << "s vs serial "
-                << plan.estimated_serial_cost().as_seconds() << "s";
-      records_.push_back(std::move(record));
-      active_.emplace();
-      active_->idx = idx;
-      active_->observed = violation.observed;
-      active_->plan = std::move(plan);
-      std::set<util::Symbol> touched;
-      touched.insert(util::Symbol::intern(records_[idx].element));
-      for (const PlanStep& step : active_->plan.steps) {
-        for (const std::string& el : step.elements) {
-          touched.insert(util::Symbol::intern(el));
-        }
-        if (!step.subject.empty()) {
-          touched.insert(util::Symbol::intern(step.subject));
-        }
+    } else {
+      // The paper's sequential shape: each step waits for the one before.
+      for (std::size_t i = 1; i < plan.steps.size(); ++i) {
+        plan.steps[i].deps = {i - 1};
       }
-      for (const std::string& el :
-           affected_gauge_elements(active_->plan.journal, nullptr)) {
+    }
+    record.plan_steps = static_cast<int>(plan.steps.size());
+    ARC_DEBUG << "  plan: " << plan.steps.size() << " steps ("
+              << plan.runtime_step_count() << " runtime), est critical "
+              << plan.estimated_critical_path().as_seconds() << "s vs serial "
+              << plan.estimated_serial_cost().as_seconds() << "s";
+    records_.push_back(std::move(record));
+    active_.emplace();
+    active_->idx = idx;
+    active_->observed = violation.observed;
+    active_->plan = std::move(plan);
+    std::set<util::Symbol> touched;
+    touched.insert(util::Symbol::intern(records_[idx].element));
+    for (const PlanStep& step : active_->plan.steps) {
+      for (const std::string& el : step.elements) {
         touched.insert(util::Symbol::intern(el));
       }
-      active_->touched.assign(touched.begin(), touched.end());
-      publish_plan_event(monitor::topics::kPhasePlanStarted, idx,
-                         active_->plan.steps.size());
-      active_->pre_event =
-          sim_.schedule_in(pre, [this, idx] { start_plan(idx); });
-      return;
+      if (!step.subject.empty()) {
+        touched.insert(util::Symbol::intern(step.subject));
+      }
     }
-
-    // Legacy strictly-sequential replay (the bench baseline).
-    records_.push_back(std::move(record));
-    sim_.schedule_in(pre, [this, idx, ops = std::move(op_records)]() mutable {
-      apply_committed(idx, std::move(ops));
-    });
+    for (const std::string& el :
+         affected_gauge_elements(active_->plan.journal, nullptr)) {
+      touched.insert(util::Symbol::intern(el));
+    }
+    active_->touched.assign(touched.begin(), touched.end());
+    publish_plan_event(monitor::topics::kPhasePlanStarted, idx,
+                       active_->plan.steps.size());
+    active_->pre_event =
+        sim_.schedule_in(pre, [this, idx] { start_plan(idx); });
     return;
   }
 
@@ -425,63 +423,6 @@ void RepairEngine::publish_plan_event(util::Symbol phase, std::size_t idx,
       .set(monitor::topics::kAttrStepsSym, static_cast<double>(steps));
   n.wire_size = DataSize::bytes(256);
   bus_->publish(std::move(n));
-}
-
-// ---- legacy strictly-sequential replay (use_plan = false) ----
-
-void RepairEngine::apply_committed(std::size_t idx,
-                                   std::vector<model::OpRecord> op_records) {
-  RepairRecord& record = records_[idx];
-  SimTime op_cost = SimTime::zero();
-  if (translator_) {
-    try {
-      op_cost = translator_->apply(op_records);
-    } catch (const Error& e) {
-      // See fail_plan: same contract, minus the compensation — this path
-      // is kept exactly as the paper behaved. The model keeps the
-      // committed-but-unenacted change (the consistency checker reports
-      // the drift), the record stays `committed`, and it still shows up
-      // in repair_windows(), matching what the pre-plan repair_windows()
-      // computed from the records.
-      record.aborted = true;
-      record.abort_reason = std::string("RuntimeFailure: ") + e.what();
-      record.completed = sim_.now();
-      record.finished = true;
-      busy_ = false;
-      ++stats_.aborted;
-      if (config_.damping) {
-        cooldown_until_.insert_or_assign(
-            util::Symbol::intern(record.constraint_id),
-            sim_.now() + config_.abort_cooldown);
-      }
-      windows_.emplace_back(record.started, record.completed);
-      ARC_ERROR << "repair #" << record.id
-                << " failed at the runtime layer: " << e.what()
-                << " — operator attention required";
-      return;
-    }
-  }
-  record.op_cost = op_cost;
-  auto affected = std::make_shared<std::vector<std::string>>(
-      affected_gauge_elements(op_records, gauges_));
-  sim_.schedule_in(op_cost, [this, idx, affected] {
-    redeploy_chain(idx, affected, 0, sim_.now());
-  });
-}
-
-void RepairEngine::redeploy_chain(
-    std::size_t idx, std::shared_ptr<std::vector<std::string>> elements,
-    std::size_t next, SimTime gauge_started) {
-  if (!gauges_ || next >= elements->size()) {
-    records_[idx].gauge_cost = sim_.now() - gauge_started;
-    finish(idx, *elements);
-    return;
-  }
-  const std::string element = (*elements)[next];
-  gauges_->redeploy_element(element, [this, idx, elements, next,
-                                      gauge_started] {
-    redeploy_chain(idx, elements, next + 1, gauge_started);
-  });
 }
 
 void RepairEngine::finish(std::size_t idx,

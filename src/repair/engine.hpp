@@ -7,14 +7,14 @@
 //   2. run the bound strategy inside a model Transaction (interpreted
 //      script or native C++ strategy);
 //   3. on commit: charge decision + runtime-query time, then enact. The
-//      default pipeline lifts the committed op records into an
-//      AdaptationPlan (repair/plan.hpp), optimizes it (merged moves,
-//      batched gauge re-deployments), and enacts it asynchronously with
-//      independent steps overlapped (repair/plan_executor.hpp). The
-//      paper's strictly sequential record replay — translate every record,
-//      then re-deploy each element's gauges one after another, the step
-//      that dominates its ~30 s repair time — is kept behind
-//      `use_plan = false` as the measured baseline;
+//      committed op records lift into an AdaptationPlan (repair/plan.hpp)
+//      that one PlanExecutor enacts asynchronously
+//      (repair/plan_executor.hpp). By default the plan is optimized
+//      (merged moves, batched gauge re-deployments) and independent steps
+//      overlap. `use_plan = false` keeps the paper's strictly sequential
+//      shape — no optimization, every step waiting for the one before it,
+//      so each element's gauges re-deploy one after another, the step that
+//      dominates its ~30 s repair time — as the measured baseline;
 //   4. on abort: roll the transaction back and apply a cooldown so a
 //      hopeless constraint does not spin.
 //
@@ -73,9 +73,11 @@ struct RepairEngineConfig {
   bool damping = true;
   /// true: interpreted script strategies; false: native C++ strategies.
   bool use_script = true;
-  /// Enact through the AdaptationPlan pipeline (lift, optimize, overlap).
-  /// false selects the legacy strictly-sequential record replay — kept as
-  /// the in-bench baseline for bench_fig11_repair_latency.
+  /// Optimize the AdaptationPlan and overlap its independent steps. false
+  /// enacts the unoptimized plan one step at a time (step i waits for step
+  /// i-1) — the paper's sequential repair shape, kept as the baseline of
+  /// bench_fig11_repair_latency. Failures, compensation and preemption
+  /// behave the same either way.
   bool use_plan = true;
   /// Allow a strictly worse violation to abort a plan in flight (remaining
   /// steps skipped, enacted steps compensated) and start its own repair.
@@ -136,8 +138,8 @@ struct RepairRecord {
   int moves = 0;
   int servers_added = 0;
   int servers_removed = 0;
-  /// Plan pipeline: steps after optimization / steps the optimizer folded
-  /// away (0 on the legacy path).
+  /// Steps in the enacted plan / steps the optimizer folded away (always
+  /// 0 with use_plan = false, which skips the optimizer).
   int plan_steps = 0;
   int plan_steps_merged = 0;
   /// Failure-aware enactment: transient-op retries and op timeouts this
@@ -263,12 +265,6 @@ class RepairEngine {
   void publish_plan_event(util::Symbol phase, std::size_t idx,
                           std::size_t steps);
   bool touched_by_active(util::Symbol element) const;
-  // Legacy record replay (use_plan = false).
-  void apply_committed(std::size_t idx,
-                       std::vector<model::OpRecord> op_records);
-  void redeploy_chain(std::size_t idx,
-                      std::shared_ptr<std::vector<std::string>> elements,
-                      std::size_t next, SimTime gauge_started);
   void finish(std::size_t idx, const std::vector<std::string>& affected);
   static void summarize_ops(const std::vector<model::OpRecord>& op_records,
                             RepairRecord& record);

@@ -147,12 +147,16 @@ class SerialDomain {
 #ifndef NDEBUG
     owner_.store(other.owner_.load(std::memory_order_relaxed),
                  std::memory_order_relaxed);
+#else
+    (void)other;
 #endif
   }
   SerialDomain& operator=(SerialDomain&& other) noexcept {
 #ifndef NDEBUG
     owner_.store(other.owner_.load(std::memory_order_relaxed),
                  std::memory_order_relaxed);
+#else
+    (void)other;
 #endif
     return *this;
   }

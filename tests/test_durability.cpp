@@ -239,7 +239,9 @@ TEST(JournalTest, TornWriteCorpusRecoversValidPrefix) {
     EXPECT_FALSE(r.torn);
     EXPECT_EQ(r.records.size(), i);
     EXPECT_EQ(r.valid_bytes, cut.size());
-    if (i > 0) EXPECT_EQ(r.records.back().lsn, i);
+    if (i > 0) {
+      EXPECT_EQ(r.records.back().lsn, i);
+    }
   }
 
   // Truncation at every mid-frame byte: torn, recovered to the last

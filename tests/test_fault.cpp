@@ -679,7 +679,7 @@ struct FleetFaultFingerprint {
 };
 
 FleetFaultFingerprint run_faulted_fleet(std::size_t sweep_threads,
-                                        std::size_t sim_threads = 0) {
+                                        std::size_t sim_threads = 1) {
   sim::Simulator sim;
   core::FleetOptions opt;
   opt.scenario = "fleet-4x16";
@@ -702,19 +702,16 @@ FleetFaultFingerprint run_faulted_fleet(std::size_t sweep_threads,
   opt.config.fault.repair.op_transient = 0.10;
   opt.manager.sweep_threads = sweep_threads;
   opt.manager.coalesce_window = SimTime::millis(500);
-  opt.sim_threads = sim_threads;  // 0 = legacy shared simulator
+  opt.sim_threads = sim_threads;
   auto fleet = core::FrameworkBuilder::build_fleet(sim, opt);
   fleet->start();
   fleet->run_until(SimTime::seconds(320));
 
   FleetFaultFingerprint fp;
-  fp.events = sim.executed();
-  if (fleet->coordinator()) {
-    fp.events += fleet->coordinator()->stats().shard_events;
-  }
+  fp.events = sim.executed() + fleet->coordinator()->stats().shard_events;
   for (std::size_t t = 0; t < fleet->tenant_count(); ++t) {
     core::FleetTenant& tenant = fleet->tenant(t);
-    util::SerialLane in_lane(tenant.lane());  // no-op on the legacy kernel
+    util::SerialLane in_lane(tenant.lane());
     std::vector<std::tuple<std::string, std::string, double>> rs;
     for (const repair::RepairRecord& r :
          tenant.framework->engine().records()) {

@@ -196,7 +196,7 @@ struct FleetFingerprint {
 };
 
 FleetFingerprint run_fleet(std::size_t sweep_threads, SimTime coalesce,
-                           std::size_t sim_threads = 0) {
+                           std::size_t sim_threads = 1) {
   sim::Simulator sim;
   core::FleetOptions opt;
   opt.scenario = "fleet-4x16";
@@ -216,20 +216,16 @@ FleetFingerprint run_fleet(std::size_t sweep_threads, SimTime coalesce,
   opt.config.fleet.phase_shift = SimTime::seconds(30);
   opt.manager.sweep_threads = sweep_threads;
   opt.manager.coalesce_window = coalesce;
-  opt.sim_threads = sim_threads;  // 0 = legacy shared simulator
+  opt.sim_threads = sim_threads;
   auto fleet = core::FrameworkBuilder::build_fleet(sim, opt);
   fleet->start();
   fleet->run_until(SimTime::seconds(320));
 
   FleetFingerprint fp;
-  fp.events = sim.executed();
-  if (fleet->coordinator()) {
-    fp.events += fleet->coordinator()->stats().shard_events;
-  }
+  fp.events = sim.executed() + fleet->coordinator()->stats().shard_events;
   for (std::size_t t = 0; t < fleet->tenant_count(); ++t) {
     core::FleetTenant& tenant = fleet->tenant(t);
-    // Fingerprinting reads shard state; enter the tenant's lane (a no-op
-    // under the legacy kernel, where lane() is 0).
+    // Fingerprinting reads shard state; enter the tenant's lane.
     util::SerialLane in_lane(tenant.lane());
     std::vector<std::tuple<std::string, std::string, std::string, double>> rs;
     for (const repair::RepairRecord& r : tenant.framework->engine().records()) {
@@ -265,10 +261,7 @@ TEST(FleetDeterminismTest, IdenticalRepairSequencesForThreadCounts1AndN) {
 TEST(FleetDeterminismTest, ShardedKernelBitIdenticalFor1AndNSimThreads) {
   // The sharded-kernel oracle: per-tenant sub-simulators advanced in
   // conservative time windows must replay bit-identically whether the
-  // windows execute on one worker thread or four. The baseline is
-  // sharded-with-1-thread, not the legacy kernel — legacy interleaves all
-  // tenants on one global event sequence, which is a different (equally
-  // deterministic) schedule.
+  // windows execute on one worker thread or four.
   FleetFingerprint one = run_fleet(2, SimTime::millis(500), 1);
   FleetFingerprint four = run_fleet(2, SimTime::millis(500), 4);
   EXPECT_EQ(one.events, four.events);
@@ -294,6 +287,35 @@ TEST(FleetDeterminismTest, BatchingDoesNotChangeRepairDecisions) {
     EXPECT_EQ(batched.models[t], unbatched.models[t]) << "tenant " << t;
   }
   EXPECT_GT(batched.repairs_total, 0u);
+}
+
+// ---- retired configurations ----
+
+void expect_rejected(const core::FleetOptions& opt, const std::string& field) {
+  sim::Simulator sim;
+  try {
+    core::FrameworkBuilder::build_fleet(sim, opt);
+    ADD_FAILURE() << "build_fleet accepted " << field;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FleetOptionsTest, ZeroSimThreadsIsRejected) {
+  // The sharded kernel is the only fleet kernel: there is no shared-
+  // simulator mode left for 0 to select.
+  core::FleetOptions opt;
+  opt.tenants = 1;
+  opt.sim_threads = 0;
+  expect_rejected(opt, "sim_threads");
+}
+
+TEST(FleetOptionsTest, UncoordinatedFleetIsRejected) {
+  core::FleetOptions opt;
+  opt.tenants = 1;
+  opt.coordinated = false;
+  expect_rejected(opt, "coordinated");
 }
 
 }  // namespace

@@ -3,7 +3,13 @@
 // claims.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/experiment.hpp"
+#include "durability/codec.hpp"
 
 namespace arcadia::core {
 namespace {
@@ -241,6 +247,168 @@ TEST(IntegrationTest, WorstFirstPolicyRuns) {
   ExperimentResult r = run_experiment(opt);
   EXPECT_FALSE(r.repairs.empty());
   EXPECT_LT(r.mean_fraction_above(), 0.35);
+}
+
+
+// ---- sequential enactment golden ----
+//
+// plan_pipeline = false used to run a separate record replay: translate
+// every committed record at once, then re-deploy each affected element's
+// gauges one after another. It is now the same AdaptationPlan enacted
+// unoptimized, one step at a time. These records were captured from the
+// record replay before it was deleted; every RepairRecord field except
+// plan_steps / plan_steps_merged (which the replay never set) must still
+// match, on the full paper-fig6 run and on the shortened one.
+
+std::string hex64(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+std::string golden_line(const repair::RepairRecord& r) {
+  std::ostringstream os;
+  os << "#" << r.id << " " << r.constraint_id << "/" << r.element << "/"
+     << r.strategy << " t=" << r.started.as_micros() << ".."
+     << r.completed.as_micros() << " c" << r.committed << "a" << r.aborted
+     << "f" << r.finished << "p" << r.preempted << " '" << r.abort_reason
+     << "' tactics=";
+  for (const auto& [name, ok] : r.tactics) os << name << ":" << ok << ",";
+  os << " spans=";
+  for (const acme::TacticSpan& span : r.tactic_spans) {
+    os << span.name << ":" << span.succeeded << ":" << span.ops_begin << "-"
+       << span.ops_end << ",";
+  }
+  durability::Encoder journal;
+  for (const model::OpRecord& op : r.journal) journal.op(op);
+  std::string ops;
+  for (const std::string& op : r.ops) ops += op + "\n";
+  os << " journal=" << r.journal.size() << ":"
+     << hex64(durability::fnv1a(journal.bytes())) << " ops=" << r.ops.size()
+     << ":" << hex64(durability::fnv1a(ops.data(), ops.size()))
+     << " cost=" << r.decision_cost.as_micros() << ","
+     << r.query_cost.as_micros() << "," << r.op_cost.as_micros() << ","
+     << r.gauge_cost.as_micros() << " m" << r.moves << "+" << r.servers_added
+     << "-" << r.servers_removed << " retry" << r.ops_retried << "/"
+     << r.ops_timed_out;
+  return os.str();
+}
+
+void expect_golden(const ExperimentResult& r,
+                   const std::vector<std::string>& golden) {
+  ASSERT_EQ(r.repairs.size(), golden.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    EXPECT_EQ(golden_line(r.repairs[i]), golden[i]) << "repair " << i;
+  }
+}
+
+const std::vector<std::string> kSequentialGoldenFull = {
+    "#0 u:ServerGrp1/ServerGrp1/trimServers t=15000000..15120000"
+    " c0a1f1p0 'NothingToTrim' tactics=shrinkGroup:0, spans="
+    " journal=0:cbf29ce484222325 ops=0:cbf29ce484222325"
+    " cost=100000,20000,0,0 m0+0-0 retry0/0",
+    "#1 r:User3/User3/fixLatency t=140000000..170230000 c1a0f1p0 ''"
+    " tactics=fixServerLoad:0,fixBandwidth:1,"
+    " spans=fixServerLoad:0:0-0,fixBandwidth:1:0-3,"
+    " journal=3:054bbfa1bc4c1402 ops=3:4f4f0995c5ee6d98"
+    " cost=100000,10000,120000,30000000 m1+0-0 retry0/0",
+    "#2 r:User4/User4/fixLatency t=175000000..205230000 c1a0f1p0 ''"
+    " tactics=fixServerLoad:0,fixBandwidth:1,"
+    " spans=fixServerLoad:0:0-0,fixBandwidth:1:0-3,"
+    " journal=3:7e107d62325dd489 ops=3:e6844ee7e6cc82d5"
+    " cost=100000,10000,120000,30000000 m1+0-0 retry0/0",
+    "#3 r:User3/User3/fixLatency t=210000000..210100000 c0a1f1p0"
+    " 'NoApplicableTactic'"
+    " tactics=fixServerLoad:0,fixBandwidth:0,fixLoadByMove:0, spans="
+    " journal=0:cbf29ce484222325 ops=0:cbf29ce484222325"
+    " cost=100000,0,0,0 m0+0-0 retry0/0",
+    "#4 r:User4/User4/fixLatency t=240000000..240100000 c0a1f1p0"
+    " 'NoApplicableTactic'"
+    " tactics=fixServerLoad:0,fixBandwidth:0,fixLoadByMove:0, spans="
+    " journal=0:cbf29ce484222325 ops=0:cbf29ce484222325"
+    " cost=100000,0,0,0 m0+0-0 retry0/0",
+    "#5 u:ServerGrp1/ServerGrp1/trimServers t=415000000..415120000"
+    " c0a1f1p0 'NothingToTrim' tactics=shrinkGroup:0, spans="
+    " journal=0:cbf29ce484222325 ops=0:cbf29ce484222325"
+    " cost=100000,20000,0,0 m0+0-0 retry0/0",
+    "#6 r:User2/User2/fixLatency t=625000000..655880000 c1a0f1p0 ''"
+    " tactics=fixServerLoad:1, spans=fixServerLoad:1:0-2,"
+    " journal=2:f62c10c17e4db194 ops=2:2dd7409ea4ceccfc"
+    " cost=100000,140000,640000,30000000 m0+1-0 retry0/0",
+    "#7 r:User1/User1/fixLatency t=660000000..690870000 c1a0f1p0 ''"
+    " tactics=fixServerLoad:1, spans=fixServerLoad:1:0-2,"
+    " journal=2:f250ae0bf965abeb ops=2:4e80eaf1bbd43540"
+    " cost=100000,130000,640000,30000000 m0+1-0 retry0/0",
+    "#8 r:User3/User3/fixLatency t=880000000..910350000 c1a0f1p0 ''"
+    " tactics=fixServerLoad:0,fixBandwidth:0,fixLoadByMove:1,"
+    " spans=fixServerLoad:0:0-0,fixBandwidth:0:0-0,fixLoadByMove:1:0-3,"
+    " journal=3:7086d28ce62979ae ops=3:0e135c6fd0f42ceb"
+    " cost=100000,130000,120000,30000000 m1+0-0 retry0/0",
+    "#9 r:User4/User4/fixLatency t=915000000..915100000 c0a1f1p0"
+    " 'NoApplicableTactic'"
+    " tactics=fixServerLoad:0,fixBandwidth:0,fixLoadByMove:0, spans="
+    " journal=0:cbf29ce484222325 ops=0:cbf29ce484222325"
+    " cost=100000,0,0,0 m0+0-0 retry0/0",
+    "#10 u:ServerGrp1/ServerGrp1/trimServers t=1435000000..1465240000"
+    " c1a0f1p0 '' tactics=shrinkGroup:1, spans=shrinkGroup:1:0-2,"
+    " journal=2:a7c5865b8d3d6b82 ops=2:8895c5696a8a7b34"
+    " cost=100000,20000,120000,30000000 m0+0-1 retry0/0",
+};
+
+const std::vector<std::string> kSequentialGoldenShort = {
+    "#0 u:ServerGrp1/ServerGrp1/trimServers t=15000000..15120000"
+    " c0a1f1p0 'NothingToTrim' tactics=shrinkGroup:0, spans="
+    " journal=0:cbf29ce484222325 ops=0:cbf29ce484222325"
+    " cost=100000,20000,0,0 m0+0-0 retry0/0",
+    "#1 r:User3/User3/fixLatency t=80000000..110230000 c1a0f1p0 ''"
+    " tactics=fixServerLoad:0,fixBandwidth:1,"
+    " spans=fixServerLoad:0:0-0,fixBandwidth:1:0-3,"
+    " journal=3:054bbfa1bc4c1402 ops=3:4f4f0995c5ee6d98"
+    " cost=100000,10000,120000,30000000 m1+0-0 retry0/0",
+    "#2 r:User4/User4/fixLatency t=115000000..145230000 c1a0f1p0 ''"
+    " tactics=fixServerLoad:0,fixBandwidth:1,"
+    " spans=fixServerLoad:0:0-0,fixBandwidth:1:0-3,"
+    " journal=3:7e107d62325dd489 ops=3:e6844ee7e6cc82d5"
+    " cost=100000,10000,120000,30000000 m1+0-0 retry0/0",
+    "#3 r:User3/User3/fixLatency t=150000000..150100000 c0a1f1p0"
+    " 'NoApplicableTactic'"
+    " tactics=fixServerLoad:0,fixBandwidth:0,fixLoadByMove:0, spans="
+    " journal=0:cbf29ce484222325 ops=0:cbf29ce484222325"
+    " cost=100000,0,0,0 m0+0-0 retry0/0",
+    "#4 r:User4/User4/fixLatency t=180000000..180100000 c0a1f1p0"
+    " 'NoApplicableTactic'"
+    " tactics=fixServerLoad:0,fixBandwidth:0,fixLoadByMove:0, spans="
+    " journal=0:cbf29ce484222325 ops=0:cbf29ce484222325"
+    " cost=100000,0,0,0 m0+0-0 retry0/0",
+    "#5 r:User2/User2/fixLatency t=320000000..350880000 c1a0f1p0 ''"
+    " tactics=fixServerLoad:1, spans=fixServerLoad:1:0-2,"
+    " journal=2:f62c10c17e4db194 ops=2:2dd7409ea4ceccfc"
+    " cost=100000,140000,640000,30000000 m0+1-0 retry0/0",
+    "#6 r:User1/User1/fixLatency t=355000000..385870000 c1a0f1p0 ''"
+    " tactics=fixServerLoad:1, spans=fixServerLoad:1:0-2,"
+    " journal=2:f250ae0bf965abeb ops=2:4e80eaf1bbd43540"
+    " cost=100000,130000,640000,30000000 m0+1-0 retry0/0",
+    "#7 u:ServerGrp1/ServerGrp1/trimServers t=455000000..485240000"
+    " c1a0f1p0 '' tactics=shrinkGroup:1, spans=shrinkGroup:1:0-2,"
+    " journal=2:a7c5865b8d3d6b82 ops=2:8895c5696a8a7b34"
+    " cost=100000,20000,120000,30000000 m0+0-1 retry0/0",
+    "#8 u:ServerGrp1/ServerGrp1/trimServers t=535000000..565240000"
+    " c1a0f1p0 '' tactics=shrinkGroup:1, spans=shrinkGroup:1:0-2,"
+    " journal=2:3259332ef2cda3a5 ops=2:47abb85d1eb18dce"
+    " cost=100000,20000,120000,30000000 m0+0-1 retry0/0",
+};
+
+TEST(IntegrationTest, SerializedPlanMatchesSequentialReplayGolden) {
+  ExperimentOptions full = options_for("paper-fig6");
+  full.adaptation = true;
+  full.framework.plan_pipeline = false;
+  expect_golden(run_experiment(full), kSequentialGoldenFull);
+
+  ExperimentOptions shortened = short_options();
+  shortened.adaptation = true;
+  shortened.framework.plan_pipeline = false;
+  expect_golden(run_experiment(shortened), kSequentialGoldenShort);
 }
 
 }  // namespace

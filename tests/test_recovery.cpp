@@ -202,8 +202,7 @@ std::vector<std::uint8_t> run_durable_fleet(int sweep_threads,
   opt.framework.check_period = SimTime::seconds(1);
   opt.manager.coalesce_window = SimTime::seconds(1);
   opt.manager.sweep_threads = sweep_threads;
-  opt.coordinated = true;
-  opt.sim_threads = sim_threads;  // 0 = legacy shared simulator
+  opt.sim_threads = sim_threads;
   opt.durability.dir = scratch_dir(dir);
   auto fleet = FrameworkBuilder::build_fleet(sim, opt);
   fleet->start();
@@ -214,8 +213,8 @@ std::vector<std::uint8_t> run_durable_fleet(int sweep_threads,
 }
 
 TEST(FleetDurabilityTest, JournalBytesIdenticalAcrossSweepThreads) {
-  const auto serial = run_durable_fleet(1, 0, "fleet-t1");
-  const auto parallel = run_durable_fleet(4, 0, "fleet-t4");
+  const auto serial = run_durable_fleet(1, 1, "fleet-t1");
+  const auto parallel = run_durable_fleet(4, 1, "fleet-t4");
   ASSERT_GT(serial.size(), durability::kJournalHeaderSize);
   EXPECT_EQ(serial, parallel)
       << "shared journal bytes depend on sweep-thread count — the ordered-"
