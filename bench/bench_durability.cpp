@@ -64,7 +64,6 @@ core::FleetOptions make_options(int tenants, const std::string& durable_dir) {
   opt.framework.gauge_costs.report_period = SimTime::millis(250);
   opt.framework.check_period = SimTime::seconds(1);
   opt.manager.coalesce_window = SimTime::seconds(1);
-  opt.manager.sweep_threads = 0;  // hardware concurrency
   opt.durability.dir = durable_dir;  // "" = plane disabled
   return opt;
 }

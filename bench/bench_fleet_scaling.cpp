@@ -9,6 +9,10 @@
 // each run — repairs, models, event counts — and fails if any thread count
 // perturbs a single bit (the determinism contract).
 //
+// Each cell also reports the barrier sweep's wall time (FleetStats::
+// sweep_wall_s) and its share of the run, since the sweep runs on the same
+// workers as the windows.
+//
 // Emits BENCH_fleet.json (next to the binary, or argv[1]). Speedup gates
 // are hardware-aware: wall-clock targets are only enforced when the host
 // actually has the cores (hw_concurrency >= 4); a 1-core container still
@@ -60,6 +64,7 @@ constexpr double kGate64x256Best4Plus = 1.85;  // 3.0 / 1.628
 struct Cell {
   std::size_t sim_threads = 1;
   double wall_s = 0.0;
+  double sweep_wall_s = 0.0;  ///< FleetManager barrier sweep, inside wall_s
   std::uint64_t events = 0;
   std::uint64_t repairs = 0;
   std::uint64_t fingerprint = 0;
@@ -87,7 +92,6 @@ core::FleetOptions make_options(const ScenarioSpec& spec,
   opt.framework.gauge_costs.report_period = SimTime::millis(250);
   opt.framework.check_period = SimTime::seconds(1);
   opt.manager.coalesce_window = SimTime::seconds(1);
-  opt.manager.sweep_threads = 1;  // isolate the KERNEL's scaling
   opt.sim_threads = sim_threads;
   return opt;
 }
@@ -131,6 +135,7 @@ Cell run_once(const ScenarioSpec& spec, std::size_t sim_threads) {
   Cell c;
   c.sim_threads = sim_threads;
   c.wall_s = std::chrono::duration<double>(t1 - t0).count();
+  c.sweep_wall_s = fleet->manager()->stats().sweep_wall_s;
   c.events = sim.executed() + fleet->coordinator()->stats().shard_events;
   for (std::size_t t = 0; t < fleet->tenant_count(); ++t) {
     core::FleetTenant& tenant = fleet->tenant(t);
@@ -213,6 +218,8 @@ int main(int argc, char** argv) {
       json << "        {\"sim_threads\": " << c.sim_threads
            << ", \"wall_s\": " << c.wall_s
            << ", \"speedup_vs_1\": " << base.wall_s / c.wall_s
+           << ", \"sweep_wall_s\": " << c.sweep_wall_s
+           << ", \"sweep_share\": " << c.sweep_wall_s / c.wall_s
            << ", \"events\": " << c.events << ", \"repairs\": " << c.repairs
            << "}" << (k + 1 < res.cells.size() ? "," : "") << "\n";
     }
@@ -229,7 +236,9 @@ int main(int argc, char** argv) {
     for (const Cell& c : res.cells) {
       std::cout << "  " << c.sim_threads << " thread"
                 << (c.sim_threads == 1 ? " " : "s") << ": " << c.wall_s
-                << " s  (" << base.wall_s / c.wall_s << "x vs 1 thread)\n";
+                << " s  (" << base.wall_s / c.wall_s
+                << "x vs 1 thread)  sweep " << c.sweep_wall_s << " s ("
+                << c.sweep_wall_s / c.wall_s << " of wall)\n";
     }
     if (!res.deterministic) {
       std::cout << "FAIL: " << res.spec.name

@@ -90,12 +90,12 @@ Fleet::Fleet(sim::Simulator& sim, FleetOptions options)
       tenant->framework->attach_journal_sink(staging_.back().get(),
                                              static_cast<std::uint32_t>(k));
     }
-    const FleetManager::ShardId id = manager_->add_shard(
+    manager_->add_shard(
         tenant->name, tenant->framework->manager(),
         tenant->framework->gauge_bus(), tenant->testbed.manager_node);
-    manager_->bind_shard_executor(id, &tenant_sim, tenant->lane());
     tenants_.push_back(std::move(tenant));
   }
+  manager_->bind_coordinator(*coordinator_);
 }
 
 Fleet::~Fleet() {

@@ -57,10 +57,10 @@ struct FleetOptions {
   bool coordinated = true;
 
   /// Shared durability plane: ONE journal/snapshot stream for the whole
-  /// fleet, each tenant tagged with its shard index. Appends happen on the
-  /// simulation thread in shard order ("parallel detect, ordered dispatch"),
-  /// so the journal bytes are identical for any sweep_threads setting. An
-  /// empty dir disables it. (FrameworkConfig::durability is ignored per
+  /// fleet, each tenant tagged with its shard index. Tenants stage records
+  /// per shard (in windows and in the parallel sweep); barriers drain them
+  /// in (time, shard, index) order, so the journal bytes are identical for
+  /// any sim_threads setting. An empty dir disables it. (FrameworkConfig::durability is ignored per
   /// tenant here — a fleet must not scatter N private journals.)
   durability::Options durability;
 

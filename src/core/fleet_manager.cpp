@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <utility>
 
 #include "model/revision.hpp"
@@ -29,32 +30,29 @@ FleetManager::ShardId FleetManager::add_shard(std::string name,
   shard.manager = &manager;
   shard.bus = &gauge_bus;
   shard.manager_node = manager_node;
-  shard.clock = &sim_;  // unbound default; bind_shard_executor overrides
+  shard.clock = &sim_;  // unbound default; bind_coordinator overrides
   shards_.push_back(std::move(shard));
   return shards_.size() - 1;
 }
 
-void FleetManager::bind_shard_executor(ShardId id, sim::Simulator* clock,
-                                       std::uintptr_t lane) {
+void FleetManager::bind_coordinator(sim::SimCoordinator& coordinator) {
   serial_.check();
-  if (started_) throw Error("FleetManager: bind_shard_executor after start");
-  shards_[id].clock = clock;
-  shards_[id].lane = lane;
+  if (started_) throw Error("FleetManager: bind_coordinator after start");
+  if (coordinator.shard_count() != shards_.size()) {
+    throw Error("FleetManager: bind_coordinator needs one coordinator shard "
+                "per fleet shard");
+  }
+  coordinator_ = &coordinator;
+  for (ShardId id = 0; id < shards_.size(); ++id) {
+    shards_[id].clock = &coordinator.shard(id).sim();
+    shards_[id].lane = coordinator.shard(id).lane();
+  }
 }
 
 void FleetManager::start() {
   serial_.check();
   if (started_) throw Error("FleetManager::start called twice");
   started_ = true;
-  // The pool is sized only now, when the shard count is known: more workers
-  // than shards could never receive a chunk, and a small fleet should not
-  // carry a hardware_concurrency-sized pool of idle threads.
-  std::size_t threads = config_.sweep_threads;
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  threads = std::min(threads, shards_.size());
-  if (threads > 1 && !pool_) pool_ = std::make_unique<ThreadPool>(threads);
   for (ShardId id = 0; id < shards_.size(); ++id) {
     Shard& shard = shards_[id];
     // The bus belongs to the shard's serial context: subscribe from inside
@@ -277,7 +275,6 @@ void FleetManager::update_health(ShardId id) {
       break;
     case ShardHealth::Quarantined:
       ++shard.stats.health_quarantined;
-      ++stats_.shards_quarantined;
       ARC_WARN << "fleet: shard '" << shard.name << "' quarantined after "
                << silence.as_seconds() << " s of report silence";
       break;
@@ -335,94 +332,74 @@ void FleetManager::run_sweep() {
   serial_.check();
   const auto wall0 = std::chrono::steady_clock::now();
   ++stats_.sweep_rounds;
-  // Apply everything still coalescing so this sweep sees values at least as
-  // fresh as an unbatched manager would at the same instant. Sweeps run at
-  // barriers: every shard clock equals the control clock here, and flush
-  // re-enters each shard's lane itself.
-  for (ShardId id = 0; id < shards_.size(); ++id) flush(id);
-
-  // Any structural edit since the last round (repairs are the only in-run
-  // source) re-sweeps every shard: the clock is process-global, so we
-  // cannot attribute it to one shard — spurious detection for the
-  // untouched ones, never a stale verdict.
+  // Barrier-time clocks, read once. Any structural edit since the last
+  // round (repairs are the only in-run source) re-sweeps every shard: the
+  // clock is process-global, so we cannot attribute it to one shard —
+  // spurious detection for the untouched ones, never a stale verdict.
   const std::uint64_t structure_now = model::structure_clock();
+  const std::uint64_t property_now = model::property_clock();
   const bool structure_moved = structure_now != structure_seen_;
+  // A rig bound to no coordinator sweeps serially, in shard order.
+  auto for_each_shard = [this](const std::function<void(std::size_t)>& fn) {
+    if (coordinator_ != nullptr) return coordinator_->for_each_shard(fn);
+    for (ShardId id = 0; id < shards_.size(); ++id) fn(id);
+  };
 
-  std::vector<ShardId> sweep;
-  sweep.reserve(shards_.size());
-  std::vector<char> selected(shards_.size(), 0);
-  for (ShardId id = 0; id < shards_.size(); ++id) {
+  // One pass, each shard on its own: flush, health, selection, detect, then
+  // dispatch, while other shards flush and repair. The view pins this
+  // shard's clocks to the ones read above plus its own changes, and every
+  // journal record goes to the shard's own staging sink: no shard sees
+  // another's effects, so the order shards run in cannot matter.
+  for_each_shard([&](std::size_t id) {
     Shard& shard = shards_[id];
-    // Health publishes on the shard's bus; selection reads shard state.
-    util::SerialLane in_lane(shard.lane);
+    model::ClockView clock_view(structure_now, property_now);
+    // Apply everything still coalescing so this sweep sees values at least
+    // as fresh as an unbatched manager would at the same instant.
+    flush(id);
     if (config_.health_tracking) update_health(id);
     // Degraded-mode fleet: a stalled or quarantined shard is neither swept
     // nor dispatched this round — its cached verdicts are held, not acted
     // on, until the control loop (or the monitoring substrate) returns.
     if (shard.stalled_until > sim_.now()) {
       ++shard.stats.sweeps_stalled;
-      continue;
+      return;
     }
-    if (config_.health_tracking &&
-        shard.health == ShardHealth::Quarantined) {
+    if (config_.health_tracking && shard.health == ShardHealth::Quarantined) {
       ++shard.stats.sweeps_quarantined;
-      continue;
+      return;
     }
     const bool clean = config_.skip_clean_shards && shard.swept_once &&
                        !shard.dirty && !structure_moved &&
                        !shard.manager->repair_active();
     if (clean) {
+      // Re-dispatch the cached verdicts below — exactly what the
+      // incremental checker would have returned verbatim.
       ++shard.stats.sweeps_skipped;
-      ++stats_.shard_skips;
     } else {
-      selected[id] = 1;
-      sweep.push_back(id);
-    }
-  }
-
-  // Parallel detection: read-only per shard, disjoint models, results into
-  // disjoint slots. Dispatch below stays strictly on this thread.
-  std::vector<std::vector<repair::Violation>> found(shards_.size());
-  auto detect_one = [&](std::size_t k) {
-    const ShardId id = sweep[k];
-    found[id] = shards_[id].manager->detect();
-  };
-  if (pool_ && sweep.size() > 1) {
-    ++stats_.parallel_rounds;
-    pool_->parallel_for(sweep.size(), detect_one);
-  } else {
-    for (std::size_t k = 0; k < sweep.size(); ++k) detect_one(k);
-  }
-
-  // Deterministic dispatch, shard order. A skipped shard re-dispatches its
-  // cached verdicts — exactly what its incremental checker would have
-  // returned verbatim had we swept it.
-  for (ShardId id = 0; id < shards_.size(); ++id) {
-    Shard& shard = shards_[id];
-    // Dispatch mutates the shard's model and schedules tenant events.
-    util::SerialLane in_lane(shard.lane);
-    if (shard.stalled_until > sim_.now()) continue;
-    if (config_.health_tracking &&
-        shard.health == ShardHealth::Quarantined) {
-      continue;
-    }
-    if (selected[id]) {
-      shard.last_violations = std::move(found[id]);
+      shard.last_violations = shard.manager->detect();
       shard.swept_once = true;
       shard.dirty = false;
       ++shard.stats.sweeps;
-      ++stats_.shard_sweeps;
     }
-    if (shard.last_violations.empty()) continue;
+    if (shard.last_violations.empty()) return;
     shard.stats.violations += shard.last_violations.size();
     if (shard.manager->dispatch(shard.last_violations)) {
       ++shard.stats.repairs_triggered;
-      // The repair just mutated this shard's model; whatever it changed must
-      // be re-examined next round even if no report arrives meanwhile.
+      // The repair just mutated this shard's model; whatever it changed
+      // must be re-examined next round even if no report arrives meanwhile.
       shard.dirty = true;
     }
-  }
+  });
   structure_seen_ = structure_now;
+
+  // Fleet-wide counters are sums of per-shard ones, taken on the control
+  // thread: no worker writes shared state.
+  stats_.shard_sweeps = stats_.shard_skips = stats_.shards_quarantined = 0;
+  for (const Shard& shard : shards_) {
+    stats_.shard_sweeps += shard.stats.sweeps;
+    stats_.shard_skips += shard.stats.sweeps_skipped;
+    stats_.shards_quarantined += shard.stats.health_quarantined;
+  }
   stats_.sweep_wall_s +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();

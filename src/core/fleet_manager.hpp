@@ -7,22 +7,20 @@
 //     within a coalescing window are applied in one model pass; reports for
 //     the same (element, property) are superseded in place, so a burst of
 //     samples costs one property write instead of one per report;
-//   * parallel constraint sweep — the periodic check runs each shard's
-//     incremental detection concurrently on a util::ThreadPool. Detection is
-//     read-only per shard (disjoint models), so threads never contend on
-//     model state;
+//   * parallel barrier sweep — the periodic check runs each shard's part
+//     on the SimCoordinator's workers, inside the shard's lane. Shards own
+//     disjoint models, so workers never contend on model state;
 //   * clean-shard skipping — a shard that received no reports, ran no
 //     repair, and saw no structural edit since its last sweep is not swept
 //     at all; its cached verdicts (what the incremental checker would have
 //     returned verbatim) are re-dispatched instead.
 //
-// Determinism contract: parallel evaluation only *detects* violations.
-// Violation dispatch — and therefore every repair, every model mutation,
-// every scheduled simulator event — happens afterwards on the simulation
-// thread in fixed shard order. A fleet run is bit-for-bit identical for any
-// sweep_threads value — and, under core::Fleet's sharded kernel (DESIGN.md
-// §9), for any simulation-thread count: shard windows are serial per shard
-// and the sweep runs at barriers where every clock agrees.
+// Determinism contract (DESIGN.md §3c): each shard flushes, detects and
+// dispatches on its own while the others do the same. Detection runs under
+// a model::ClockView pinned to the barrier's revision clocks; dispatch
+// reads no clock and journals into per-shard staging. No shard sees
+// another's effects during the sweep, so a fleet run is bit-for-bit
+// identical for any simulation-thread count.
 #pragma once
 
 #include <array>
@@ -35,9 +33,9 @@
 #include "core/arch_manager.hpp"
 #include "events/bus.hpp"
 #include "repair/constraint.hpp"
+#include "sim/shard_sim.hpp"
 #include "sim/simulator.hpp"
 #include "util/annotations.hpp"
-#include "util/thread_pool.hpp"
 
 namespace arcadia::core {
 
@@ -51,9 +49,9 @@ struct FleetManagerConfig {
   /// sweep-aligned: no per-shard flush timers at all — batches are applied
   /// exactly when the sweep needs them.
   SimTime coalesce_window = SimTime::millis(500);
-  /// Worker threads for the parallel sweep; <= 1 sweeps on the simulation
-  /// thread (still batched, still skipping clean shards).
-  std::size_t sweep_threads = 0;  ///< 0 = hardware concurrency
+  /// No-op: the sweep runs on the bound SimCoordinator's workers
+  /// (FleetOptions::sim_threads). Kept only because perfbench assigns it.
+  std::size_t sweep_threads = 0;
   /// Skip shards whose model provably did not change since their last
   /// sweep. Disable to force every shard through detection every period.
   bool skip_clean_shards = true;
@@ -105,13 +103,11 @@ struct FleetShardStats {
 
 struct FleetStats {
   std::uint64_t sweep_rounds = 0;     ///< periodic sweeps of the whole fleet
-  std::uint64_t parallel_rounds = 0;  ///< rounds that used the thread pool
   std::uint64_t shard_sweeps = 0;     ///< sum of per-shard detections
   std::uint64_t shard_skips = 0;      ///< sum of per-shard skips
   std::uint64_t shards_quarantined = 0;  ///< quarantine entries, fleet-wide
-  /// Real (host) wall-clock spent inside run_sweep — flush + parallel
-  /// detect + ordered dispatch. The fleet counterpart of
-  /// ArchManagerStats::check_wall_s.
+  /// Real (host) wall-clock spent inside run_sweep. The fleet counterpart
+  /// of ArchManagerStats::check_wall_s.
   double sweep_wall_s = 0.0;
 };
 
@@ -154,31 +150,31 @@ class FleetManager {
   }
   ShardHealth shard_health(ShardId id) const { return shards_[id].health; }
 
-  /// Sharded-kernel binding (what core::Fleet does for every tenant): shard
-  /// `id`'s tenant events run on `clock` (its ShardSimulator) inside logical
-  /// lane `lane`. Report enqueueing, coalescing timers, and liveness stamps
-  /// then use the shard clock — which leads the control clock mid-window —
-  /// and the per-shard SerialDomain keys on the lane, so windows may migrate
-  /// between pool workers. An unbound shard (a hand-rolled rig whose
-  /// tenants share the manager's simulator) keeps clock = that simulator and
-  /// lane = 0 (thread-keyed). Call after add_shard, before start().
-  void bind_shard_executor(ShardId id, sim::Simulator* clock,
-                           std::uintptr_t lane);
+  /// Sharded-kernel binding (what core::Fleet does): shard `id`'s events,
+  /// coalescing timers and liveness stamps use `coordinator.shard(id)`'s
+  /// clock and lane, and run_sweep runs on the coordinator's threads. An
+  /// unbound rig keeps the manager's simulator and lane 0, and sweeps
+  /// serially. Call after every add_shard, before start().
+  void bind_coordinator(sim::SimCoordinator& coordinator);
 
   /// Fault seam: stall a shard's control loop — its sweeps and dispatches
   /// are skipped until `duration` elapses (reports keep coalescing; the
   /// backlog applies at the first sweep after the stall lifts).
   void stall_shard(ShardId id, SimTime duration);
   const FleetStats& stats() const { return stats_; }
-  std::size_t sweep_threads() const { return pool_ ? pool_->size() : 1; }
+  /// Workers the sweep runs on: the bound coordinator's, else 1.
+  unsigned sweep_threads() const {
+    return coordinator_ != nullptr ? coordinator_->effective_threads() : 1;
+  }
 
   /// Apply a shard's pending coalesced reports immediately (also happens
   /// automatically before every sweep and when the window timer fires).
   void flush(ShardId id);
 
-  /// One fleet sweep: flush pending batches, detect (parallel) on every
-  /// non-clean shard, dispatch in shard order. Runs from the periodic task;
-  /// public so tests and benches can drive sweeps explicitly.
+  /// One fleet sweep: per shard, flush, health and detect (unless clean),
+  /// then dispatch — shards in parallel on the bound coordinator. Runs from
+  /// the periodic task; public so tests and benches can drive sweeps
+  /// explicitly (between windows).
   void run_sweep();
 
  private:
@@ -192,7 +188,7 @@ class FleetManager {
     events::SubscriptionId plan_sub = 0;
     events::SubscriptionId lifecycle_sub = 0;
 
-    /// Executor binding (bind_shard_executor): the clock tenant events run
+    /// Executor binding (bind_coordinator): the clock tenant events run
     /// on — the shard's private ShardSimulator, or the manager's own
     /// simulator when unbound — and the SerialLane token of that shard
     /// (0 = none). All per-shard mutation goes through
@@ -250,15 +246,13 @@ class FleetManager {
   FleetManagerConfig config_;
   /// Concurrency capability: each shard's state is owned by its serial
   /// execution context — the shard's lane under the sharded kernel, the
-  /// simulation thread when unbound (windows migrate between pool
-  /// workers but are serial per shard, and barrier-time work re-enters the
-  /// lane). run_sweep farms the *detection* phase to the pool, but those
-  /// tasks only call const ArchitectureManager::detect() on disjoint
-  /// models — every write to a Shard (enqueue, flush, dispatch, stats)
+  /// simulation thread when unbound (windows and sweeps migrate between
+  /// workers but are serial per shard). Every write to a Shard
   /// happens inside its lane, which debug builds assert via Shard::serial;
-  /// fleet-wide control state stays behind serial_.
+  /// fleet-wide state (stats_, structure_seen_) is written only on the
+  /// control thread, behind serial_.
   std::vector<Shard> shards_;
-  std::unique_ptr<ThreadPool> pool_;
+  sim::SimCoordinator* coordinator_ = nullptr;
   std::unique_ptr<sim::PeriodicTask> sweep_task_;
   /// Structure clock at the end of the previous sweep round: any structural
   /// edit anywhere (repairs are the only in-run source) re-sweeps every

@@ -1,9 +1,9 @@
 // The journal-emission seam. RepairEngine and ArchitectureManager hold a
 // JournalSink pointer (null when durability is off — zero overhead, no
-// behavioral change); the DurabilityPlane implements it. All calls happen
-// on the simulation thread — the fleet's "parallel detect, ordered
-// dispatch" contract means commits land in shard order, so journal bytes
-// are identical for any sweep-thread count.
+// behavioral change); the DurabilityPlane implements it. A solo framework
+// calls it on the simulation thread; a fleet tenant calls its own
+// StagingSink (staging.hpp), drained in shard order at barriers, so
+// journal bytes are identical for any simulation-thread count.
 #pragma once
 
 #include <cstdint>

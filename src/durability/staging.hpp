@@ -7,8 +7,8 @@
 // tagged with a per-sink sequence number; at every window barrier the fleet
 // drains all sinks through a k-way merge by (time, shard, seq) into the real
 // plane. The merged order is a total order independent of the worker count,
-// so journal bytes stay bit-identical for 1 vs N simulation threads — the
-// sharded extension of the "parallel detect, ordered dispatch" contract.
+// so journal bytes stay bit-identical for 1 vs N simulation threads, both
+// for records emitted in windows and in the fleet's parallel sweep.
 #pragma once
 
 #include <cstdint>

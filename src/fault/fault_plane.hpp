@@ -4,11 +4,11 @@
 // faults, fleet crashes) so sweeping one fault rate does not perturb the
 // draw sequences of the others.
 //
-// Determinism contract: every draw happens on the simulator thread, in
-// simulator event order — fault decisions are a pure function of
+// Determinism contract: every draw happens in the tenant's serial context,
+// in simulator event order — fault decisions are a pure function of
 // (profile, seed, event order), so the same fault seed produces
-// bit-identical runs whether the fleet sweeps with 1 thread or N (the
-// parallel detect phase never touches the plane).
+// bit-identical runs whether the fleet runs on 1 thread or N (each tenant
+// has its own plane, drawn from only inside the tenant's lane).
 #pragma once
 
 #include <vector>

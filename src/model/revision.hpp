@@ -37,4 +37,16 @@ std::uint64_t structure_clock();
 /// Advance and return the structural-edit clock.
 std::uint64_t bump_structure_clock();
 
+/// While alive, the clocks on this thread read the given bases plus this
+/// thread's own bumps since, hiding other threads' concurrent ones: the
+/// fleet sweep pins each shard to the barrier's clocks while other shards
+/// flush and repair. Open with bases read outside any view; do not nest.
+class ClockView {
+ public:
+  ClockView(std::uint64_t structure_base, std::uint64_t property_base);
+  ~ClockView();
+  ClockView(const ClockView&) = delete;
+  ClockView& operator=(const ClockView&) = delete;
+};
+
 }  // namespace arcadia::model

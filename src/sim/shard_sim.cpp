@@ -3,10 +3,7 @@
 #include "sim/shard_sim.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <exception>
-#include <future>
 #include <string>
 
 namespace arcadia::sim {
@@ -44,46 +41,20 @@ void SimCoordinator::post(std::uint32_t from, std::uint32_t to, SimTime at,
   outbox_[from].push_back(Mail{at, from, to, mail_seq_[from]++, std::move(fn)});
 }
 
-void SimCoordinator::advance_all(SimTime bound) {
-  const std::size_t n = shards_.size();
-  const unsigned workers = effective_threads();
-  if (workers <= 1 || n <= 1) {
-    for (auto& s : shards_) s->advance_to(bound);
+void SimCoordinator::for_each_shard(
+    const std::function<void(std::size_t)>& fn) {
+  // Which worker runs which shard varies run to run and does not matter:
+  // each call is serial in its shard's lane; merge points are ordered.
+  auto in_lane = [this, &fn](std::size_t i) {
+    util::SerialLane lane(shards_[i]->lane());
+    fn(i);
+  };
+  if (effective_threads() <= 1) {
+    for (std::size_t i = 0; i < shards_.size(); ++i) in_lane(i);
     return;
   }
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(workers - 1);
-  // Dynamic work scheduling: shards grab the next index as they finish.
-  // Duty-cycled fleets are imbalanced (a few busy tenants, many idle), so
-  // contiguous chunking would serialize the busy ones onto one worker.
-  // Which worker runs which shard varies run to run — and does not matter:
-  // each shard's window is serial and the merge points are ordered.
-  std::atomic<std::size_t> next{0};
-  auto drain = [&next, bound, this, n] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) break;
-      shards_[i]->advance_to(bound);
-    }
-  };
-  std::vector<std::future<void>> joined;
-  joined.reserve(workers - 1);
-  for (unsigned w = 1; w < workers; ++w) joined.push_back(pool_->submit(drain));
-  std::exception_ptr err;
-  try {
-    drain();  // the coordinator thread participates
-  } catch (...) {
-    err = std::current_exception();
-  }
-  // Join every worker before any rethrow: `drain` captures locals by
-  // reference, so nothing may still be running when this frame unwinds.
-  for (auto& f : joined) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!err) err = std::current_exception();
-    }
-  }
-  if (err) std::rethrow_exception(err);
+  if (!pool_) pool_ = std::make_unique<ThreadPool>(effective_threads());
+  pool_->parallel_for(shards_.size(), in_lane);
 }
 
 void SimCoordinator::deliver_mail(SimTime bound) {
@@ -129,7 +100,9 @@ std::uint64_t SimCoordinator::run_until(SimTime horizon) {
       if (reach < bound) bound = reach;
     }
     const std::uint64_t before = stats_.shard_events;
-    advance_all(bound);
+    for_each_shard([this, bound](std::size_t i) {
+      shards_[i]->advance_to(bound);
+    });
     std::uint64_t after = 0;
     for (const auto& s : shards_) after += s->events();
     stats_.shard_events = after;

@@ -13,8 +13,9 @@
 // Determinism contract: a run's event order is a pure function of the shard
 // partition and the schedule — never of the worker-thread count. Shards are
 // serial inside a window (one worker at a time, enforced by SerialLane +
-// SerialDomain), barrier work walks shards in fixed index order, and mail
-// merges by (time, source shard, per-source sequence). 1 thread and N
+// SerialDomain), per-shard barrier work (for_each_shard) keeps its effects
+// inside the shard or merges them in shard order, and mail merges by
+// (time, source shard, per-source sequence). 1 thread and N
 // threads therefore produce bit-identical repairs, journal bytes, and fault
 // draws — the tests' correctness oracle.
 //
@@ -117,7 +118,7 @@ class SimCoordinator {
 
   /// Runs at every barrier, after shards reached `bound` and mail was
   /// delivered, before control events run. The fleet drains staged journal
-  /// records here so durability bytes stay on the ordered-dispatch path.
+  /// records here, in (time, shard, index) order.
   void set_barrier_hook(std::function<void(SimTime)> hook) {
     barrier_hook_ = std::move(hook);
   }
@@ -135,6 +136,11 @@ class SimCoordinator {
   /// Returns total events executed (control + shards).
   std::uint64_t run_until(SimTime horizon);
 
+  /// Run fn(i) for every shard i inside its SerialLane on the coordinator's
+  /// threads (ThreadPool::parallel_for; one thread: a loop in shard order).
+  /// Call between windows. Windows and the fleet's barrier sweep use it.
+  void for_each_shard(const std::function<void(std::size_t)>& fn);
+
   Simulator& control() { return control_; }
   unsigned effective_threads() const;
   SimCoordinatorStats stats() const;
@@ -148,7 +154,6 @@ class SimCoordinator {
     util::SmallFn<void()> fn;
   };
 
-  void advance_all(SimTime bound);
   void deliver_mail(SimTime bound);
 
   Simulator& control_;

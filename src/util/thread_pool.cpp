@@ -1,15 +1,18 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <memory>
 
 namespace arcadia {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
+ThreadPool::ThreadPool(std::size_t threads)
+    : threads_(threads != 0 ? threads
+                            : std::max(1u, std::thread::hardware_concurrency())) {
+  const std::size_t workers = std::max<std::size_t>(1, threads_ - 1);
+  workers_.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -41,36 +44,48 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (n == 1) {
-    fn(0);
-    return;
-  }
-  // Chunk into at most one contiguous block per worker: cheaper than one
-  // future per index, and a throwing iteration abandons only the rest of
-  // its own chunk.
-  const std::size_t chunks = std::min(n, workers_.size());
-  const std::size_t per_chunk = (n + chunks - 1) / chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t begin = 0; begin < n; begin += per_chunk) {
-    const std::size_t end = std::min(n, begin + per_chunk);
-    futures.push_back(submit([&fn, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    }));
-  }
-  // Join every future before letting any exception unwind: once we return,
-  // no worker may still be touching `fn` or the caller's captures. The
-  // lowest-indexed chunk's exception wins, deterministically.
-  std::exception_ptr first;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
+  // Indices go out one at a time, so uneven work spreads over every thread.
+  // State lives on the heap: a helper woken after every index was claimed
+  // never touches `fn`, so the caller waits only for indices in flight.
+  struct Loop {
+    explicit Loop(std::size_t n) : errors(n) {}
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> finished{0};
+    std::vector<std::exception_ptr> errors;  // slot i: only index i writes
+    util::Mutex mutex;
+    util::CondVar all_done;
+  };
+  auto loop = std::make_shared<Loop>(n);
+  auto drain = [loop, n, &fn] {
+    for (std::size_t i = loop->next++; i < n; i = loop->next++) {
+      try {
+        fn(i);
+      } catch (...) {
+        loop->errors[i] = std::current_exception();
+      }
+      if (++loop->finished == n) {
+        util::MutexLock lock(loop->mutex);  // no lost wake-up
+        loop->all_done.notify_one();
+      }
     }
+  };
+  const std::size_t helpers = n == 0 ? 0 : std::min(size(), n) - 1;
+  {
+    util::MutexLock lock(mutex_);
+    for (std::size_t h = 0; h < helpers; ++h) queue_.emplace_back(drain);
   }
-  if (first) std::rethrow_exception(first);
+  for (std::size_t h = 0; h < helpers; ++h) cv_.notify_one();
+  drain();
+  {
+    util::MutexLock lock(loop->mutex);
+    while (loop->finished.load() < n) loop->all_done.wait(loop->mutex);
+  }
+  // Out of `loop` first: a late helper may drop the last reference to it,
+  // and must not free an exception this thread is still reading.
+  const std::vector<std::exception_ptr> errors = std::move(loop->errors);
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
 }
 
 }  // namespace arcadia

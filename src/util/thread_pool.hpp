@@ -1,10 +1,11 @@
 // Fixed-size thread pool for embarrassingly-parallel experiment work:
 // running control and repair experiments concurrently, parameter sweeps in
 // the ablation benches, and property-test replications — plus the worker
-// pool behind sim::SimCoordinator's conservative windows (DESIGN.md §9).
-// Parallelism is always deterministic by construction: either whole
-// experiments (one simulator per task, no sharing) or lane-guarded shard
-// windows whose cross-shard effects drain at single-threaded barriers.
+// pool behind sim::SimCoordinator's windows and fleet barrier sweep
+// (DESIGN.md §3c, §9); under src/ only those two construct one (arclint
+// `one-pool`). Parallelism is always deterministic by construction: either
+// whole experiments (one simulator per task, no sharing) or lane-guarded
+// per-shard work whose cross-shard effects merge in shard order.
 #pragma once
 
 #include <cstddef>
@@ -20,14 +21,17 @@ namespace arcadia {
 
 class ThreadPool {
  public:
-  /// Spawn `threads` workers (defaults to hardware concurrency, at least 1).
+  /// A pool for `threads`-way loops (0 = hardware concurrency): the
+  /// calling thread plus threads - 1 workers, and at least one worker so
+  /// that submit() always runs.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t size() const { return workers_.size(); }
+  /// Threads a parallel_for runs on, the calling thread included.
+  std::size_t size() const { return threads_; }
 
   /// Enqueue a task; the future resolves with its result (or exception).
   template <typename F>
@@ -43,16 +47,17 @@ class ThreadPool {
     return result;
   }
 
-  /// Run fn(i) for i in [0, n) across the pool and wait for completion.
-  /// The index space is chunked into at most size() contiguous blocks. All
-  /// blocks are joined before this returns — even when one throws — so the
-  /// caller's captures never outlive the call; the exception from the
-  /// lowest-indexed throwing block is rethrown (deterministic choice).
+  /// Run fn(i) for every i in [0, n) on size() threads — the calling
+  /// thread and up to size() - 1 workers, indices handed out one at a time
+  /// — and wait for all of them. Every index runs even when some throw;
+  /// then the exception of the lowest throwing index is rethrown (a
+  /// deterministic choice). No call of `fn` runs after this returns.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
   void worker_loop();
 
+  std::size_t threads_;
   std::vector<std::thread> workers_;
   util::Mutex mutex_;
   util::CondVar cv_;

@@ -26,8 +26,8 @@ bool has_rule(const std::vector<Finding>& findings, const std::string& rule) {
   return std::find(hit.begin(), hit.end(), rule) != hit.end();
 }
 
-TEST(ArclintTest, ListsAllEightRules) {
-  EXPECT_EQ(arclint::rule_ids().size(), 8u);
+TEST(ArclintTest, ListsAllNineRules) {
+  EXPECT_EQ(arclint::rule_ids().size(), 9u);
   EXPECT_TRUE(std::find(arclint::rule_ids().begin(), arclint::rule_ids().end(),
                         "entropy") != arclint::rule_ids().end());
   EXPECT_TRUE(std::find(arclint::rule_ids().begin(), arclint::rule_ids().end(),
@@ -36,6 +36,8 @@ TEST(ArclintTest, ListsAllEightRules) {
                         "durability-io") != arclint::rule_ids().end());
   EXPECT_TRUE(std::find(arclint::rule_ids().begin(), arclint::rule_ids().end(),
                         "shard-isolation") != arclint::rule_ids().end());
+  EXPECT_TRUE(std::find(arclint::rule_ids().begin(), arclint::rule_ids().end(),
+                        "one-pool") != arclint::rule_ids().end());
 }
 
 // ---- unordered-container -------------------------------------------------
@@ -285,6 +287,55 @@ TEST(ArclintTest, ShardRuleHonorsAllowDirectives) {
       "// arclint: shard\n"
       "core::FleetManager* m;  // arclint: allow(shard-isolation): seam\n";
   EXPECT_TRUE(lint_source("src/sim/x.cpp", src).empty());
+}
+
+// ---- one-pool --------------------------------------------------------------
+
+TEST(ArclintTest, CatchesSecondThreadPoolUnderSrc) {
+  // The fleet manager's old private sweep pool, seeded back in.
+  const auto findings = lint_source(
+      "src/core/fleet_manager.cpp",
+      "void f() {\n  pool_ = std::make_unique<ThreadPool>(threads);\n}\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "one-pool");
+  EXPECT_EQ(findings[0].line, 2u);
+  EXPECT_TRUE(has_rule(lint_source("src/repair/x.cpp",
+                                   "arcadia::ThreadPool pool(4);\n"),
+                       "one-pool"));
+  EXPECT_TRUE(has_rule(lint_source("src/monitor/x.cpp",
+                                   "auto* p = new arcadia::ThreadPool{2};\n"),
+                       "one-pool"));
+  EXPECT_TRUE(has_rule(
+      lint_source("src/core/x.cpp",
+                  "auto p = std::make_shared< arcadia :: ThreadPool >();\n"),
+      "one-pool"));
+}
+
+TEST(ArclintTest, OnePoolAllowsItsOwnersAndNonConstructions) {
+  const std::string construct =
+      "if (!pool_) pool_ = std::make_unique<ThreadPool>(workers - 1);\n";
+  EXPECT_TRUE(lint_source("src/sim/shard_sim.cpp", construct).empty());
+  EXPECT_TRUE(lint_source("src/core/suite.cpp",
+                          "ThreadPool pool(threads);\n")
+                  .empty());
+  // Outside src/ (benches, tests) pools are free.
+  EXPECT_TRUE(lint_source("bench/bench_x.cpp", construct).empty());
+  // Members, references, the class's own declarations, comments.
+  EXPECT_TRUE(lint_source("src/core/x.hpp",
+                          "std::unique_ptr<ThreadPool> pool_;\n"
+                          "void run(ThreadPool& pool, ThreadPool* p);\n"
+                          "// a ThreadPool pool(4); would be wrong here\n")
+                  .empty());
+  EXPECT_TRUE(lint_source("src/util/thread_pool.hpp",
+                          "  explicit ThreadPool(std::size_t threads = 0);\n"
+                          "  ThreadPool(const ThreadPool&) = delete;\n"
+                          "  ThreadPool& operator=(const ThreadPool&) = "
+                          "delete;\n")
+                  .empty());
+  EXPECT_TRUE(lint_source("src/util/thread_pool.cpp",
+                          "ThreadPool::ThreadPool(std::size_t threads) {\n"
+                          "ThreadPool::~ThreadPool() {\n")
+                  .empty());
 }
 
 // ---- tools-parity --------------------------------------------------------

@@ -1,10 +1,13 @@
 // Fleet mode: sharded architecture managers, batched gauge application, and
-// the parallel constraint sweep. The load-bearing property is the
-// determinism contract — parallel detection, ordered dispatch — proven here
-// by running the same fleet with 1 and N sweep threads and demanding
-// bit-identical repair sequences.
+// the parallel barrier sweep. The load-bearing property is the determinism
+// contract — each shard flushes, detects and dispatches on its own, on the
+// coordinator's workers — proven here by running the same fleet with 1 and
+// N simulation threads and demanding bit-identical repair sequences and
+// statistics.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -14,7 +17,10 @@
 #include "core/fleet.hpp"
 #include "core/framework_builder.hpp"
 #include "events/bus.hpp"
+#include "model/revision.hpp"
+#include "model/types.hpp"
 #include "monitor/topics.hpp"
+#include "repair/registry.hpp"
 #include "repair/scripts.hpp"
 #include "sim/scenario_registry.hpp"
 #include "sim/shard_sim.hpp"
@@ -33,22 +39,24 @@ events::Notification gauge_report(const std::string& element,
 }
 
 /// A minimal shard: one-component model, local gauge bus, model-only
-/// repair engine, passive architecture manager.
+/// repair engine, passive architecture manager. The latency constraint has
+/// no handler unless one is given, so by default violations never repair.
 struct ShardRig {
-  explicit ShardRig(sim::Simulator& sim, const std::string& component)
+  ShardRig(sim::Simulator& sim, const std::string& component,
+           const std::string& handler = "",
+           const repair::RepairEngineConfig& engine_cfg = {})
       : system("ShardSys") {
     auto& comp = system.add_component(component, "ClientT");
     comp.set_property("averageLatency", model::PropertyValue(0.5));
     static acme::Script script = acme::parse_script(repair::extended_script());
     engine = std::make_unique<repair::RepairEngine>(
-        sim, system, script, nullptr, nullptr, nullptr,
-        repair::RepairEngineConfig{});
+        sim, system, script, nullptr, nullptr, nullptr, engine_cfg);
     core::ArchManagerConfig cfg;
     cfg.passive = true;
     manager = std::make_unique<core::ArchitectureManager>(sim, system, bus,
                                                           *engine, cfg);
     manager->checker().add_constraint("lat:" + component, component,
-                                      "averageLatency <= 2.0", "");
+                                      "averageLatency <= 2.0", handler);
   }
 
   model::System system;
@@ -115,7 +123,6 @@ TEST(FleetManagerTest, DeadBandKeepsQuietShardsClean) {
   core::FleetManagerConfig cfg;
   cfg.coalesce_window = SimTime::millis(100);
   cfg.first_check = SimTime::seconds(1e6);
-  cfg.sweep_threads = 1;
   core::FleetManager fleet(sim, cfg);
   fleet.add_shard("t1", *rig.manager, rig.bus);
   fleet.start();
@@ -150,7 +157,6 @@ TEST(FleetManagerTest, SkipsCleanShardsAndKeepsCachedVerdicts) {
   core::FleetManagerConfig cfg;
   cfg.coalesce_window = SimTime::millis(100);
   cfg.first_check = SimTime::seconds(1e6);
-  cfg.sweep_threads = 1;
   core::FleetManager fleet(sim, cfg);
   fleet.add_shard("hot", *hot.manager, hot.bus);
   fleet.add_shard("cold", *cold.manager, cold.bus);
@@ -183,6 +189,72 @@ TEST(FleetManagerTest, SkipsCleanShardsAndKeepsCachedVerdicts) {
   EXPECT_EQ(fleet.stats().sweep_rounds, 3u);
 }
 
+TEST(FleetManagerTest, DispatchThrowRethrownFromLowestShard) {
+  // The sweep dispatches every shard on the coordinator's workers. When more
+  // than one shard throws, run_sweep must rethrow the lowest shard's
+  // exception — whichever worker got there first — after every shard ran.
+  repair::PolicyRegistry::instance().add_or_replace(
+      "test-throw-constraint-id",
+      [](const std::vector<const repair::Violation*>& candidates)
+          -> std::size_t {
+        throw std::runtime_error(candidates.front()->constraint->id);
+      });
+  repair::RepairEngineConfig engine_cfg;
+  engine_cfg.policy_name = "test-throw-constraint-id";
+
+  constexpr int kShards = 6;
+  sim::Simulator control;
+  sim::SimCoordinatorOptions copt;
+  copt.threads = 4;
+  sim::SimCoordinator coord(control, copt);
+  std::vector<std::unique_ptr<ShardRig>> rigs;
+  for (int s = 0; s < kShards; ++s) {
+    sim::ShardSimulator& shard = coord.add_shard();
+    util::SerialLane in_lane(shard.lane());
+    rigs.push_back(std::make_unique<ShardRig>(
+        shard.sim(), "User" + std::to_string(s), "fixLatency", engine_cfg));
+  }
+  core::FleetManagerConfig cfg;
+  cfg.first_check = SimTime::seconds(1e6);
+  cfg.coalesce_window = SimTime::zero();
+  auto fleet = std::make_unique<core::FleetManager>(control, cfg);
+  for (int s = 0; s < kShards; ++s) {
+    fleet->add_shard("t" + std::to_string(s), *rigs[s]->manager,
+                     rigs[s]->bus);
+  }
+  fleet->bind_coordinator(coord);
+  fleet->start();
+  // Shards 2, 3 and 5 breach; the others stay healthy.
+  for (int s : {2, 3, 5}) {
+    util::SerialLane in_lane(coord.shard(s).lane());
+    rigs[s]->bus.publish(
+        gauge_report("User" + std::to_string(s), "averageLatency", 9.0));
+  }
+  constexpr int kRounds = 20;
+  for (int r = 0; r < kRounds; ++r) {
+    try {
+      fleet->run_sweep();
+      ADD_FAILURE() << "round " << r << ": run_sweep did not throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "lat:User2") << "round " << r;
+    }
+  }
+  // Every breaching shard reached dispatch in every round, not just the
+  // one whose exception won.
+  for (int s : {2, 3, 5}) {
+    EXPECT_EQ(fleet->shard_stats(s).violations,
+              static_cast<std::uint64_t>(kRounds))
+        << "shard " << s;
+  }
+  EXPECT_EQ(fleet->shard_stats(0).violations, 0u);
+
+  fleet.reset();
+  for (int s = 0; s < kShards; ++s) {
+    util::SerialLane in_lane(coord.shard(s).lane());
+    rigs[s].reset();
+  }
+}
+
 // ---- full-stack determinism ----
 
 struct FleetFingerprint {
@@ -195,8 +267,7 @@ struct FleetFingerprint {
   std::uint64_t repairs_total = 0;
 };
 
-FleetFingerprint run_fleet(std::size_t sweep_threads, SimTime coalesce,
-                           std::size_t sim_threads = 1) {
+FleetFingerprint run_fleet(SimTime coalesce, std::size_t sim_threads = 1) {
   sim::Simulator sim;
   core::FleetOptions opt;
   opt.scenario = "fleet-4x16";
@@ -214,7 +285,6 @@ FleetFingerprint run_fleet(std::size_t sweep_threads, SimTime coalesce,
   opt.config.stress_end = SimTime::seconds(220);
   opt.config.normal_rate_hz = 2.0;
   opt.config.fleet.phase_shift = SimTime::seconds(30);
-  opt.manager.sweep_threads = sweep_threads;
   opt.manager.coalesce_window = coalesce;
   opt.sim_threads = sim_threads;
   auto fleet = core::FrameworkBuilder::build_fleet(sim, opt);
@@ -245,8 +315,10 @@ FleetFingerprint run_fleet(std::size_t sweep_threads, SimTime coalesce,
 }
 
 TEST(FleetDeterminismTest, IdenticalRepairSequencesForThreadCounts1AndN) {
-  FleetFingerprint one = run_fleet(1, SimTime::millis(500));
-  FleetFingerprint many = run_fleet(4, SimTime::millis(500));
+  // Two workers over three tenants: the dynamic scheduler hands shards to
+  // workers unevenly, and sweeps still land identically.
+  FleetFingerprint one = run_fleet(SimTime::millis(500), 1);
+  FleetFingerprint many = run_fleet(SimTime::millis(500), 2);
   EXPECT_EQ(one.events, many.events);
   ASSERT_EQ(one.repairs.size(), many.repairs.size());
   for (std::size_t t = 0; t < one.repairs.size(); ++t) {
@@ -262,8 +334,8 @@ TEST(FleetDeterminismTest, ShardedKernelBitIdenticalFor1AndNSimThreads) {
   // The sharded-kernel oracle: per-tenant sub-simulators advanced in
   // conservative time windows must replay bit-identically whether the
   // windows execute on one worker thread or four.
-  FleetFingerprint one = run_fleet(2, SimTime::millis(500), 1);
-  FleetFingerprint four = run_fleet(2, SimTime::millis(500), 4);
+  FleetFingerprint one = run_fleet(SimTime::millis(500), 1);
+  FleetFingerprint four = run_fleet(SimTime::millis(500), 4);
   EXPECT_EQ(one.events, four.events);
   ASSERT_EQ(one.repairs.size(), four.repairs.size());
   for (std::size_t t = 0; t < one.repairs.size(); ++t) {
@@ -275,12 +347,201 @@ TEST(FleetDeterminismTest, ShardedKernelBitIdenticalFor1AndNSimThreads) {
   EXPECT_GT(one.reports_applied, 0u);
 }
 
+/// Every counter the sweep keeps, flattened: each tenant's FleetShardStats
+/// and CheckStats, then the fleet-wide FleetStats counters.
+std::vector<std::uint64_t> sweep_counters(std::size_t sim_threads) {
+  sim::Simulator sim;
+  core::FleetOptions opt;
+  opt.scenario = "fleet-4x16";
+  opt.tenants = 4;
+  opt.use_scenario_defaults = false;
+  opt.config = sim::scenario_defaults("fleet-4x16");
+  opt.config.grid.groups = 2;
+  opt.config.grid.clients = 8;
+  opt.config.grid.spares = 1;
+  opt.config.quiescent_end = SimTime::seconds(40);
+  opt.config.stress_start = SimTime::seconds(80);
+  opt.config.stress_end = SimTime::seconds(220);
+  opt.config.normal_rate_hz = 2.0;
+  opt.config.fleet.phase_shift = SimTime::seconds(30);
+  opt.manager.coalesce_window = SimTime::millis(500);
+  opt.sim_threads = sim_threads;
+  auto fleet = core::FrameworkBuilder::build_fleet(sim, opt);
+  {
+    // A non-local invariant on tenant index 1: its reuse decision reads the
+    // property clock, which other shards' flushes and repairs advance
+    // concurrently during the sweep. It never fails, so it repairs nothing.
+    core::FleetTenant& tenant = fleet->tenant(1);
+    util::SerialLane in_lane(tenant.lane());
+    tenant.framework->manager().checker().add_constraint(
+        "no-group-melts", "User1",
+        "forall c : ClientT in self.Components | c.averageLatency < 1000000",
+        "");
+  }
+  fleet->start();
+  fleet->run_until(SimTime::seconds(320));
+
+  std::vector<std::uint64_t> out;
+  core::FleetManager& fm = *fleet->manager();
+  for (std::size_t t = 0; t < fleet->tenant_count(); ++t) {
+    const core::FleetShardStats& s = fm.shard_stats(t);
+    out.insert(out.end(),
+               {s.reports_enqueued, s.reports_coalesced, s.reports_applied,
+                s.reports_unchanged, s.reports_ignored, s.batches, s.sweeps,
+                s.sweeps_skipped, s.violations, s.repairs_triggered,
+                s.plans_started, s.plans_completed, s.plans_preempted,
+                s.plans_failed, s.health_degraded, s.health_quarantined,
+                s.health_recovered, s.sweeps_quarantined, s.sweeps_stalled});
+    core::FleetTenant& tenant = fleet->tenant(t);
+    util::SerialLane in_lane(tenant.lane());
+    const repair::ConstraintChecker::CheckStats& cs =
+        tenant.framework->manager().checker().check_stats();
+    out.insert(out.end(), {cs.sweeps, cs.evaluations, cs.cache_hits,
+                           cs.full_sweeps, cs.holds});
+  }
+  const core::FleetStats& fs = fm.stats();
+  out.insert(out.end(), {fs.sweep_rounds, fs.shard_sweeps, fs.shard_skips,
+                         fs.shards_quarantined});
+  return out;
+}
+
+TEST(FleetDeterminismTest, SweepStatsIdenticalFor1And4SimThreads) {
+  const std::vector<std::uint64_t> one = sweep_counters(1);
+  const std::vector<std::uint64_t> four = sweep_counters(4);
+  EXPECT_EQ(one, four);
+  // Vacuity guards (layout: 24 counters per tenant, then the fleet's):
+  // tenants were swept, constraints re-evaluated and answered from cache,
+  // and repairs started.
+  constexpr std::size_t kPerTenant = 24;
+  ASSERT_EQ(one.size(), 4 * kPerTenant + 4);
+  std::uint64_t sweeps = 0, repairs = 0, cache_hits = 0;
+  for (std::size_t t = 0; t < 4; ++t) {
+    sweeps += one[t * kPerTenant + 6];
+    repairs += one[t * kPerTenant + 9];
+    EXPECT_GT(one[t * kPerTenant + 20], 0u) << "tenant " << t << " evaluations";
+    cache_hits += one[t * kPerTenant + 21];
+  }
+  EXPECT_GT(sweeps, 0u);
+  EXPECT_GT(repairs, 0u);
+  EXPECT_GT(cache_hits, 0u);
+}
+
+/// A coordinator-bound rig swept three times by hand. Shard 0 is hot:
+/// before the second sweep it gets reports that its sweep flushes,
+/// including a latency breach that its dispatch repairs by growing a
+/// server group (a structural edit). Shards 1.. are quiet: no reports, and
+/// a non-local invariant whose reuse reads the property clock. Returns each
+/// quiet shard's {evaluations, cache_hits, full_sweeps} after every sweep.
+std::vector<std::uint64_t> quiet_shard_checks(unsigned threads) {
+  namespace cs = model::cs;
+  constexpr int kShards = 6;
+  sim::Simulator control;
+  sim::SimCoordinatorOptions copt;
+  copt.threads = threads;
+  sim::SimCoordinator coord(control, copt);
+  std::vector<std::unique_ptr<ShardRig>> rigs;
+  for (int s = 0; s < kShards; ++s) {
+    sim::ShardSimulator& shard = coord.add_shard();
+    util::SerialLane in_lane(shard.lane());
+    const std::string user = "User" + std::to_string(s);
+    rigs.push_back(std::make_unique<ShardRig>(shard.sim(), user,
+                                              s == 0 ? "fixLatency" : ""));
+    model::System& sys = rigs.back()->system;
+    if (s > 0) {
+      rigs.back()->manager->checker().add_constraint(
+          "all-sane", user,
+          "forall c : ClientT in self.Components | c.averageLatency < 1e6",
+          "");
+      continue;
+    }
+    // The hot tenant: its client is served by a group that can grow.
+    auto& grp = sys.add_component("ServerGrp1", cs::kServerGroupT);
+    grp.set_property("load", model::PropertyValue(0.0));
+    grp.set_property("replicationCount", model::PropertyValue(1));
+    grp.add_port("provide", cs::kProvidePortT);
+    grp.representation();
+    sys.component(user).add_port("request", cs::kRequestPortT);
+    auto& conn = sys.add_connector("Conn_" + user, cs::kConnT);
+    conn.add_role("clientSide", cs::kClientRoleT);
+    conn.add_role("serverSide", cs::kServerRoleT);
+    sys.attach({user, "request", "Conn_" + user, "clientSide"});
+    sys.attach({"ServerGrp1", "provide", "Conn_" + user, "serverSide"});
+  }
+  core::FleetManagerConfig cfg;
+  cfg.first_check = SimTime::seconds(1e6);
+  cfg.coalesce_window = cfg.check_period;  // sweep-aligned: sweeps flush
+  cfg.skip_clean_shards = false;           // quiet shards detect every sweep
+  auto fleet = std::make_unique<core::FleetManager>(control, cfg);
+  for (int s = 0; s < kShards; ++s) {
+    fleet->add_shard("t" + std::to_string(s), *rigs[s]->manager,
+                     rigs[s]->bus);
+  }
+  fleet->bind_coordinator(coord);
+  fleet->start();
+
+  std::vector<std::uint64_t> out;
+  auto record = [&] {
+    for (int s = 1; s < kShards; ++s) {
+      util::SerialLane in_lane(coord.shard(s).lane());
+      const auto& st = rigs[s]->manager->checker().check_stats();
+      out.insert(out.end(), {st.evaluations, st.cache_hits, st.full_sweeps});
+    }
+  };
+  fleet->run_sweep();
+  record();
+  {
+    util::SerialLane in_lane(coord.shard(0).lane());
+    rigs[0]->bus.publish(gauge_report("ServerGrp1", "load", 9.0));
+    rigs[0]->bus.publish(gauge_report("User0", "averageLatency", 9.0));
+  }
+  const std::uint64_t structure_before = model::structure_clock();
+  fleet->run_sweep();
+  record();
+  // Vacuity guards: the hot shard really flushed and repaired mid-sweep.
+  EXPECT_EQ(fleet->shard_stats(0).reports_applied, 2u);
+  EXPECT_EQ(fleet->shard_stats(0).repairs_triggered, 1u);
+  EXPECT_GT(model::structure_clock(), structure_before);
+  fleet->run_sweep();
+  record();
+
+  fleet.reset();
+  for (int s = 0; s < kShards; ++s) {
+    util::SerialLane in_lane(coord.shard(s).lane());
+    rigs[s].reset();
+  }
+  return out;
+}
+
+TEST(FleetDeterminismTest, QuietShardIgnoresOtherShardsSweepWrites) {
+  // Pinned to the barrier's clocks, a quiet shard's second sweep answers
+  // both constraints from cache, although the hot shard flushed and
+  // repaired during that same sweep — whether it ran before the quiet
+  // shard (one thread: always) or beside it (four). Those changes reach
+  // the quiet shard at the next barrier: a full re-sweep in sweep three.
+  const std::vector<std::uint64_t> one = quiet_shard_checks(1);
+  const std::vector<std::uint64_t> four = quiet_shard_checks(4);
+  EXPECT_EQ(one, four);
+  const std::vector<std::uint64_t> per_shard = {2, 0, 1,   // sweep 1
+                                                2, 2, 1,   // sweep 2
+                                                4, 2, 2};  // sweep 3
+  ASSERT_EQ(one.size(), 5 * per_shard.size());
+  for (int s = 0; s < 5; ++s) {
+    for (int sweep = 0; sweep < 3; ++sweep) {
+      for (int k = 0; k < 3; ++k) {
+        EXPECT_EQ(one[sweep * 15 + s * 3 + k], per_shard[sweep * 3 + k])
+            << "quiet shard " << s + 1 << ", sweep " << sweep + 1
+            << ", counter " << k;
+      }
+    }
+  }
+}
+
 TEST(FleetDeterminismTest, BatchingDoesNotChangeRepairDecisions) {
   // Pending batches are flushed before every sweep, so the model state the
   // checker reads at each sweep instant — and therefore every repair — is
   // identical whether reports coalesced or applied on delivery.
-  FleetFingerprint batched = run_fleet(2, SimTime::millis(500));
-  FleetFingerprint unbatched = run_fleet(2, SimTime::zero());
+  FleetFingerprint batched = run_fleet(SimTime::millis(500));
+  FleetFingerprint unbatched = run_fleet(SimTime::zero());
   ASSERT_EQ(batched.repairs.size(), unbatched.repairs.size());
   for (std::size_t t = 0; t < batched.repairs.size(); ++t) {
     EXPECT_EQ(batched.repairs[t], unbatched.repairs[t]) << "tenant " << t;

@@ -4,6 +4,8 @@
 // structural edits — all without ever changing check()'s verdicts.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "acme/adl.hpp"
 #include "acme/expr_parser.hpp"
 #include "acme/script.hpp"
@@ -175,6 +177,80 @@ TEST(RollbackStampTest, PropertyRollbackRestoresStampAndCache) {
       sys.component("User1").property("averageLatency").as_double(), 0.5);
   EXPECT_TRUE(checker.check().empty());
   EXPECT_EQ(checker.check_stats().evaluations, evals);  // all cache hits
+}
+
+TEST(ClockViewTest, HidesOtherThreadsChangesButCountsOwn) {
+  model::System mine = make_system(1);
+  model::System theirs = make_system(1);
+  const std::uint64_t structure = model::structure_clock();
+  const std::uint64_t property = model::property_clock();
+  model::ClockView view(structure, property);
+  EXPECT_EQ(model::structure_clock(), structure);
+  EXPECT_EQ(model::property_clock(), property);
+  // Another thread's write and structural edit (a concurrently flushing or
+  // repairing shard) are invisible.
+  std::thread other([&theirs] {
+    theirs.component("User1").set_property("averageLatency",
+                                           model::PropertyValue(7.0));
+    theirs.add_component("User9", "ClientT");
+  });
+  other.join();
+  EXPECT_EQ(model::structure_clock(), structure);
+  EXPECT_EQ(model::property_clock(), property);
+  // This thread's own changes advance the view one for one.
+  mine.component("User1").set_property("averageLatency",
+                                        model::PropertyValue(1.0));
+  mine.component("User1").set_property("averageLatency",
+                                        model::PropertyValue(1.5));
+  mine.add_component("User2", "ClientT");
+  EXPECT_EQ(model::property_clock(), property + 2);
+  EXPECT_EQ(model::structure_clock(), structure + 1);
+}
+
+TEST(ClockViewTest, NonLocalReuseIgnoresOtherShardsChanges) {
+  model::System sys = make_system(2);
+  model::System other = make_system(1);
+  auto& grp = sys.add_component("Grp", "ServerGroupT");
+  grp.set_property("load", model::PropertyValue(1.0));
+  ConstraintChecker checker(sys);
+  checker.bind_global("maxServerLoad", acme::EvalValue(6.0));
+  checker.add_constraint(
+      "overload", "User1",
+      "!(exists g : ServerGroupT in self.Components | g.load > maxServerLoad)",
+      "fix");
+  const std::uint64_t structure = model::structure_clock();
+  const std::uint64_t property = model::property_clock();
+  {
+    model::ClockView view(structure, property);
+    EXPECT_TRUE(checker.check().empty());
+  }
+  // A write and an edit to an unrelated model between two sweeps pinned to
+  // the same barrier clocks (another shard flushing and repairing mid-sweep)
+  // invalidate neither the non-local verdict nor the structure memo...
+  other.component("User1").set_property("averageLatency",
+                                         model::PropertyValue(3.0));
+  other.add_component("User7", "ClientT");
+  {
+    model::ClockView view(structure, property);
+    EXPECT_TRUE(checker.check().empty());
+  }
+  EXPECT_EQ(checker.check_stats().evaluations, 1u);
+  EXPECT_EQ(checker.check_stats().cache_hits, 1u);
+  EXPECT_EQ(checker.check_stats().full_sweeps, 1u);
+  // ...but a write this thread makes under the view does, and so do the
+  // next barrier's clocks.
+  {
+    model::ClockView view(structure, property);
+    grp.set_property("load", model::PropertyValue(9.0));
+    EXPECT_EQ(checker.check().size(), 1u);
+  }
+  EXPECT_EQ(checker.check_stats().evaluations, 2u);
+  {
+    model::ClockView view(model::structure_clock(), model::property_clock());
+    EXPECT_EQ(checker.check().size(), 1u);
+  }
+  EXPECT_EQ(checker.check_stats().evaluations, 3u);
+  EXPECT_EQ(checker.check_stats().full_sweeps, 2u);
 }
 
 TEST(RollbackStampTest, MidTransactionSweepCannotGoStaleClean) {

@@ -8,6 +8,9 @@
 
 #include <atomic>
 #include <cstddef>
+#include <functional>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -183,7 +186,7 @@ TEST(RaceStressTest, ThreadPoolSubmitStorm) {
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
-// ---- Fleet: parallel detection sweep vs batched gauge application ---------
+// ---- Fleet: parallel barrier sweep vs batched gauge application ----------
 
 events::Notification gauge_report(const std::string& element,
                                   const std::string& property, double value) {
@@ -220,52 +223,70 @@ struct ShardRig {
 };
 
 TEST(RaceStressTest, FleetParallelSweepUnderReportLoad) {
-  sim::Simulator sim;
+  // Coordinator-bound rig: six shards, each built on its ShardSimulator
+  // inside its lane, swept by a FleetManager that runs on the
+  // coordinator's four workers.
   constexpr int kShards = 6;
+  sim::Simulator control;
+  sim::SimCoordinatorOptions copt;
+  copt.threads = 4;  // force the workers even on a 1-core host
+  sim::SimCoordinator coord(control, copt);
   std::vector<std::unique_ptr<ShardRig>> rigs;
   for (int s = 0; s < kShards; ++s) {
-    rigs.push_back(
-        std::make_unique<ShardRig>(sim, "Client" + std::to_string(s)));
+    sim::ShardSimulator& shard = coord.add_shard();
+    util::SerialLane in_lane(shard.lane());
+    rigs.push_back(std::make_unique<ShardRig>(
+        shard.sim(), "Client" + std::to_string(s)));
   }
 
   core::FleetManagerConfig cfg;
   cfg.first_check = SimTime::seconds(1e6);  // sweeps driven manually below
   cfg.coalesce_window = SimTime::millis(500);
-  cfg.sweep_threads = 4;  // force the pool even on a 1-core host
   cfg.skip_clean_shards = false;
-  core::FleetManager fleet(sim, cfg);
+  auto fleet = std::make_unique<core::FleetManager>(control, cfg);
   for (int s = 0; s < kShards; ++s) {
-    fleet.add_shard("tenant" + std::to_string(s), *rigs[s]->manager,
-                    rigs[s]->bus);
+    fleet->add_shard("tenant" + std::to_string(s), *rigs[s]->manager,
+                     rigs[s]->bus);
   }
-  fleet.start();
+  fleet->bind_coordinator(coord);
+  fleet->start();
+  EXPECT_EQ(fleet->sweep_threads(), 4u);
 
   // Alternate breach / recover across all shards, sweeping between waves.
-  // Detection runs on pool threads against shard models the sim thread just
-  // mutated via flushed batches — exactly the handoff the fleet's
-  // "parallel detect, ordered dispatch" contract must keep race-free.
+  // Each sweep flushes, detects and dispatches on the workers, against
+  // shard models this thread just fed through the shards' buses — the
+  // handoff the parallel sweep must keep race-free.
   constexpr int kWaves = 10;
   for (int w = 0; w < kWaves; ++w) {
     const double value = (w % 2 == 0) ? 5.0 : 0.5;  // breach : recover
     for (int s = 0; s < kShards; ++s) {
+      util::SerialLane in_lane(coord.shard(s).lane());
       rigs[s]->bus.publish(gauge_report("Client" + std::to_string(s),
                                         "averageLatency", value));
     }
-    fleet.run_sweep();
+    fleet->run_sweep();
   }
-  fleet.stop();
+  fleet->stop();
 
-  const core::FleetStats& stats = fleet.stats();
+  const core::FleetStats& stats = fleet->stats();
   EXPECT_EQ(stats.sweep_rounds, static_cast<std::uint64_t>(kWaves));
-  EXPECT_GT(stats.parallel_rounds, 0u);
+  EXPECT_EQ(stats.shard_sweeps, static_cast<std::uint64_t>(kShards) * kWaves);
   std::uint64_t violations = 0;
   for (int s = 0; s < kShards; ++s) {
-    const core::FleetShardStats& ss = fleet.shard_stats(s);
+    const core::FleetShardStats& ss = fleet->shard_stats(s);
     EXPECT_EQ(ss.reports_enqueued, static_cast<std::uint64_t>(kWaves));
     violations += ss.violations;
   }
   // Half the waves breach on every shard.
   EXPECT_GE(violations, static_cast<std::uint64_t>(kShards) * (kWaves / 2));
+
+  // Teardown touches each shard's serial domains: do it in the lanes, after
+  // the manager has let go of the buses.
+  fleet.reset();
+  for (int s = 0; s < kShards; ++s) {
+    util::SerialLane in_lane(coord.shard(s).lane());
+    rigs[s].reset();
+  }
 }
 
 // ---- sharded simulation kernel: 4 shards x 4 worker threads ---------------
@@ -302,10 +323,15 @@ ShardStressFingerprint run_shard_mail_stress(unsigned threads) {
   std::vector<std::uint64_t> sweeps;
   for (std::uint32_t s = 0; s < kSimShards; ++s) coord.add_shard();
 
+  // Each self-rescheduling closure owns the holder it lives in (a reference
+  // cycle); the holders are kept here so the cycles are broken after the
+  // run.
+  std::vector<std::shared_ptr<std::function<void()>>> holders;
   for (std::uint32_t s = 0; s < kSimShards; ++s) {
     // The tick chain captures itself via a heap-pinned holder so every
     // reschedule reuses one closure, like PeriodicTask does.
     auto tick = std::make_shared<std::function<void()>>();
+    holders.push_back(tick);
     *tick = [&, s, tick] {
       ++work[s];
       if (work[s] % 5 == 0) {
@@ -323,6 +349,7 @@ ShardStressFingerprint run_shard_mail_stress(unsigned threads) {
   }
 
   auto sweep = std::make_shared<std::function<void()>>();
+  holders.push_back(sweep);
   *sweep = [&, sweep] {
     std::uint64_t sum = 0;
     for (std::uint32_t s = 0; s < kSimShards; ++s) sum += work[s];
@@ -334,6 +361,7 @@ ShardStressFingerprint run_shard_mail_stress(unsigned threads) {
   control.schedule_at(SimTime::millis(50), [sweep] { (*sweep)(); });
 
   coord.run_until(horizon);
+  for (auto& holder : holders) *holder = nullptr;
 
   ShardStressFingerprint fp;
   fp.work = work;
@@ -360,6 +388,36 @@ TEST(RaceStressTest, FourShardsFourThreadsWithMailMatchSerialRun) {
   EXPECT_FALSE(serial.sweeps.empty());
 }
 
+TEST(RaceStressTest, ForEachShardRethrowsLowestShardAfterRunningAll) {
+  // Three of eight shards throw on every call; on four workers the first
+  // throw to happen varies, the rethrown one must not.
+  sim::Simulator control;
+  sim::SimCoordinatorOptions copt;
+  copt.threads = 4;
+  sim::SimCoordinator coord(control, copt);
+  constexpr std::size_t kShards = 8;
+  for (std::size_t s = 0; s < kShards; ++s) coord.add_shard();
+  std::vector<std::uint64_t> calls(kShards, 0);
+  constexpr int kRounds = 50;
+  for (int r = 0; r < kRounds; ++r) {
+    try {
+      coord.for_each_shard([&](std::size_t i) {
+        EXPECT_EQ(util::SerialLane::current(), coord.shard(i).lane());
+        ++calls[i];
+        if (i == 3 || i == 5 || i == 7) {
+          throw std::runtime_error("shard " + std::to_string(i));
+        }
+      });
+      ADD_FAILURE() << "round " << r << ": for_each_shard did not throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "shard 3") << "round " << r;
+    }
+  }
+  for (std::size_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(calls[s], static_cast<std::uint64_t>(kRounds)) << "shard " << s;
+  }
+}
+
 TEST(RaceStressTest, ShardedFleetUnderGaugeLoadAndFaults) {
   // The full stack on 4 worker threads: per-tenant gauges, batched fleet
   // sweeps, fault draws, repairs. Runs green under TSan or the windows'
@@ -381,7 +439,6 @@ TEST(RaceStressTest, ShardedFleetUnderGaugeLoadAndFaults) {
   opt.config.fault.enabled = true;
   opt.config.fault.monitoring.report_loss = 0.10;
   opt.config.fault.repair.op_transient = 0.10;
-  opt.manager.sweep_threads = 4;
   opt.manager.coalesce_window = SimTime::millis(500);
   opt.sim_threads = 4;
   auto fleet = core::FrameworkBuilder::build_fleet(sim, opt);

@@ -182,10 +182,9 @@ TEST(RecoveryTest, RestoreRunReexecutesToReferenceAndContinues) {
   run->sim.run_until(SimTime::seconds(300));  // continues past the reference
 }
 
-// ---- fleet: sweep-thread independence ------------------------------------
+// ---- fleet: worker-count independence ------------------------------------
 
-std::vector<std::uint8_t> run_durable_fleet(int sweep_threads,
-                                            std::size_t sim_threads,
+std::vector<std::uint8_t> run_durable_fleet(std::size_t sim_threads,
                                             const std::string& dir) {
   sim::Simulator sim;
   FleetOptions opt;
@@ -201,7 +200,6 @@ std::vector<std::uint8_t> run_durable_fleet(int sweep_threads,
   opt.framework.gauge_costs.report_period = SimTime::millis(250);
   opt.framework.check_period = SimTime::seconds(1);
   opt.manager.coalesce_window = SimTime::seconds(1);
-  opt.manager.sweep_threads = sweep_threads;
   opt.sim_threads = sim_threads;
   opt.durability.dir = scratch_dir(dir);
   auto fleet = FrameworkBuilder::build_fleet(sim, opt);
@@ -213,11 +211,14 @@ std::vector<std::uint8_t> run_durable_fleet(int sweep_threads,
 }
 
 TEST(FleetDurabilityTest, JournalBytesIdenticalAcrossSweepThreads) {
-  const auto serial = run_durable_fleet(1, 1, "fleet-t1");
-  const auto parallel = run_durable_fleet(4, 1, "fleet-t4");
+  // The barrier sweep dispatches shards in parallel on the coordinator's
+  // workers; repairs journal into per-shard staging, so two workers
+  // dispatching four tenants in whatever order must leave the same bytes.
+  const auto serial = run_durable_fleet(1, "fleet-t1");
+  const auto parallel = run_durable_fleet(2, "fleet-t2");
   ASSERT_GT(serial.size(), durability::kJournalHeaderSize);
   EXPECT_EQ(serial, parallel)
-      << "shared journal bytes depend on sweep-thread count — the ordered-"
+      << "shared journal bytes depend on sweep worker count — the staged "
          "dispatch contract is broken";
 }
 
@@ -226,8 +227,8 @@ TEST(FleetDurabilityTest, JournalBytesIdenticalAcrossSimThreads) {
   // at window barriers in (time, shard, emission) order. The bytes that
   // reach the shared plane must be independent of how many workers ran the
   // windows — this is the durability half of the determinism contract.
-  const auto one = run_durable_fleet(2, 1, "fleet-s1");
-  const auto four = run_durable_fleet(2, 4, "fleet-s4");
+  const auto one = run_durable_fleet(1, "fleet-s1");
+  const auto four = run_durable_fleet(4, "fleet-s4");
   ASSERT_GT(one.size(), durability::kJournalHeaderSize);
   EXPECT_EQ(one, four)
       << "shared journal bytes depend on simulation-thread count — the "

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "util/thread_pool.hpp"
 
@@ -56,32 +62,72 @@ TEST(ThreadPoolTest, ParallelForJoinsBeforeRethrowing) {
         std::runtime_error);
     live.store(false);
   }
-  // Nothing may run after parallel_for returned: all chunks were joined, so
-  // the counters are final and no worker can observe live == false.
+  // Nothing may run after parallel_for returned: every helper was joined,
+  // so the counters are final and no worker can observe live == false.
   EXPECT_GE(started.load(), 1);
   EXPECT_LE(finished.load(), 63);
 }
 
-TEST(ThreadPoolTest, ParallelForRethrowsLowestChunkDeterministically) {
-  // When several chunks throw, the exception from the lowest-indexed chunk
-  // must win, run after run.
+TEST(ThreadPoolTest, ParallelForRethrowsLowestIndexDeterministically) {
+  // When several indices throw, the exception from the lowest one must
+  // win, run after run, whichever thread threw first.
   ThreadPool pool(4);
   for (int round = 0; round < 8; ++round) {
     std::string what;
     try {
       pool.parallel_for(16, [](std::size_t i) {
-        throw std::runtime_error("chunk@" + std::to_string(i));
+        throw std::runtime_error("index@" + std::to_string(i));
       });
       FAIL() << "parallel_for did not throw";
     } catch (const std::runtime_error& e) {
       what = e.what();
     }
-    // Chunk 0 starts at index 0; its first iteration throws immediately.
-    EXPECT_EQ(what, "chunk@0");
+    EXPECT_EQ(what, "index@0");
   }
 }
 
-TEST(ThreadPoolTest, ParallelForChunksCoverUnevenRanges) {
+TEST(ThreadPoolTest, ParallelForRunsEveryIndexWhenSomeThrow) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(64);
+  try {
+    pool.parallel_for(hits.size(), [&](std::size_t i) {
+      hits[i]++;
+      if (i == 5 || i == 40) throw std::runtime_error(std::to_string(i));
+    });
+    FAIL() << "parallel_for did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "5");
+  }
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, ParallelForCallingThreadIsOneOfSizeThreads) {
+  // A one-thread pool runs the whole loop on the caller: its worker (kept
+  // for submit) is never asked to help.
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran(8);
+  pool.parallel_for(ran.size(),
+                    [&](std::size_t i) { ran[i] = std::this_thread::get_id(); });
+  for (const std::thread::id& id : ran) EXPECT_EQ(id, caller);
+}
+
+TEST(ThreadPoolTest, ParallelForRunsOnAtMostSizeThreads) {
+  // size() counts the calling thread: a 3-way pool has two workers, so a
+  // loop long enough to occupy every thread still sees at most three.
+  ThreadPool pool(3);
+  EXPECT_EQ(pool.size(), 3u);
+  std::mutex mutex;
+  std::set<std::thread::id> ran_on;
+  pool.parallel_for(64, [&](std::size_t) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    std::lock_guard<std::mutex> lock(mutex);
+    ran_on.insert(std::this_thread::get_id());
+  });
+  EXPECT_LE(ran_on.size(), 3u);
+}
+
+TEST(ThreadPoolTest, ParallelForCoversUnevenRanges) {
   ThreadPool pool(3);
   for (std::size_t n : {1u, 2u, 3u, 4u, 7u, 100u}) {
     std::vector<std::atomic<int>> hits(n);

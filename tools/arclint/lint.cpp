@@ -100,6 +100,76 @@ bool starts_with(std::string_view s, std::string_view prefix) {
   return s.substr(0, prefix.size()) == prefix;
 }
 
+bool ends_with(std::string_view s, std::string_view suffix) {
+  return s.size() >= suffix.size() &&
+         s.substr(s.size() - suffix.size()) == suffix;
+}
+
+/// True when the line constructs a ThreadPool: `new ThreadPool`,
+/// `make_unique<ThreadPool>` / `make_shared<ThreadPool>`, or a variable
+/// declaration `ThreadPool name(...)` / `{...}` / `;` / `=`. Namespace
+/// qualification and whitespace are tolerated; references, pointers,
+/// smart-pointer members and the class's own declarations are not hits.
+bool constructs_thread_pool(std::string_view text) {
+  constexpr std::string_view kWord = "ThreadPool";
+  auto skip_space_left = [&](std::size_t i) {
+    while (i > 0 && std::isspace(static_cast<unsigned char>(text[i - 1]))) {
+      --i;
+    }
+    return i;
+  };
+  auto skip_space_right = [&](std::size_t i) {
+    while (i < text.size() &&
+           std::isspace(static_cast<unsigned char>(text[i]))) {
+      ++i;
+    }
+    return i;
+  };
+  std::size_t pos = 0;
+  while ((pos = text.find(kWord, pos)) != std::string_view::npos) {
+    const std::size_t end = pos + kWord.size();
+    const bool whole = (pos == 0 || !is_ident(text[pos - 1])) &&
+                       (end >= text.size() || !is_ident(text[end]));
+    if (!whole) {
+      pos = end;
+      continue;
+    }
+    // Left context, past any `ns::` qualification.
+    std::size_t left = skip_space_left(pos);
+    while (left >= 2 && text[left - 1] == ':' && text[left - 2] == ':') {
+      left = skip_space_left(left - 2);
+      while (left > 0 && is_ident(text[left - 1])) --left;
+      left = skip_space_left(left);
+    }
+    const std::string_view before = text.substr(0, left);
+    if (ends_with(before, "<")) {
+      const std::string_view callee =
+          text.substr(0, skip_space_left(left - 1));
+      if (ends_with(callee, "make_unique") || ends_with(callee, "make_shared")) {
+        return true;
+      }
+    }
+    if (ends_with(before, "new") &&
+        (before.size() == 3 || !is_ident(before[before.size() - 4]))) {
+      return true;
+    }
+    // Right context: `ThreadPool name` followed by an initializer or `;`.
+    std::size_t right = skip_space_right(end);
+    const std::size_t name_begin = right;
+    while (right < text.size() && is_ident(text[right])) ++right;
+    if (right > name_begin) {
+      right = skip_space_right(right);
+      if (right < text.size() &&
+          std::string_view("({;=").find(text[right]) !=
+              std::string_view::npos) {
+        return true;
+      }
+    }
+    pos = end;
+  }
+  return false;
+}
+
 /// Scans raw (unstripped) text for `arclint: allow(rule)` /
 /// `arclint: allow-file(rule)` directives.
 bool has_directive(std::string_view raw, std::string_view kind,
@@ -245,7 +315,7 @@ const std::vector<std::string>& rule_ids() {
   static const std::vector<std::string> ids = {
       "unordered-container", "wall-clock",   "raw-mutex",
       "hotpath-std-function", "entropy",     "tools-parity",
-      "durability-io",       "shard-isolation"};
+      "durability-io",       "shard-isolation", "one-pool"};
   return ids;
 }
 
@@ -313,6 +383,10 @@ std::vector<Finding> lint_source(std::string_view path,
   const bool shard_marked =
       starts_with(path, "src/sim/") &&
       source.find("arclint: shard") != std::string_view::npos;
+  // The two pool owners: the SimCoordinator (windows and the fleet's
+  // barrier sweep) and the ExperimentSuite (whole experiments).
+  const bool pool_owner =
+      path == "src/sim/shard_sim.cpp" || path == "src/core/suite.cpp";
 
   struct Rule {
     bool applies;
@@ -326,6 +400,7 @@ std::vector<Finding> lint_source(std::string_view path,
       {in_src && !is_rng, "entropy"},
       {in_src && !is_durability_io, "durability-io"},
       {shard_marked, "shard-isolation"},
+      {in_src && !pool_owner, "one-pool"},
   };
   constexpr std::size_t kNumRules = sizeof(rules) / sizeof(rules[0]);
   bool any = false;
@@ -489,6 +564,13 @@ std::vector<Finding> lint_source(std::string_view path,
             "or the barrier hook so the conservative window bound stays "
             "sound");
     }
+
+    // one-pool: a fleet runs on one set of workers. Another pool under src/
+    // would idle while the coordinator's runs, or oversubscribe the host.
+    check(7, constructs_thread_pool(line),
+          "ThreadPool constructed outside its owners (sim/shard_sim.cpp, "
+          "core/suite.cpp); run per-shard work on "
+          "SimCoordinator::for_each_shard instead of a second pool");
 
     if (s_end >= stripped.size() || r_end >= source.size()) break;
     s_pos = s_end + 1;

@@ -39,6 +39,13 @@
 //                         hook); a kernel that reaches into the control
 //                         plane directly invalidates the conservative
 //                         window bound.
+//   one-pool              A ThreadPool may be constructed under src/ only
+//                         in sim/shard_sim.cpp (the SimCoordinator: shard
+//                         windows and the fleet's barrier sweep) and
+//                         core/suite.cpp (whole experiments in parallel).
+//                         A second pool beside the coordinator's sits idle
+//                         while the coordinator's workers run, or
+//                         oversubscribes the host when both run.
 //
 // Exemptions are explicit and carry a justification in the source:
 //   // arclint: allow(<rule>): <reason>        exempts that line
