@@ -32,7 +32,7 @@ struct Row {
 Row measure(const std::string& name, bool caching, bool prequery) {
   core::ExperimentOptions opt = core::options_for(bench::kPaperScenario);
   opt.adaptation = true;
-  opt.framework.gauge_caching = caching;
+  opt.framework.gauge_costs.caching = caching;
   opt.framework.remos_prequery = prequery;
   core::ExperimentResult r = core::run_experiment(opt);
   Row row;

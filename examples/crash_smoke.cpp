@@ -8,11 +8,14 @@
 // cell can be replayed; the durable dirs are left behind for arcreplay.
 //
 // Usage: crash_smoke <lossy-grid|flaky-ops|grid-4x16> [crash-seed]
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/recovery.hpp"
@@ -66,7 +69,28 @@ core::RecoveryOptions profile_options(const std::string& profile,
   opts.config = base.scenario;
   opts.framework = base.framework;
   opts.framework.durability.snapshot_period = SimTime::seconds(90);
+  // Non-default Table-1 operator and Remos query costs: they first matter
+  // when a repair runs, so the restore after each crash must take them
+  // from the manifest for the repairs that follow to match the clean run.
+  opts.framework.env_costs.rmi_call = SimTime::millis(300);
+  opts.framework.env_costs.activate_extra = SimTime::millis(1500);
+  opts.framework.remos_config.first_query_cost = SimTime::seconds(30);
+  opts.framework.remos_config.cached_query_cost = SimTime::millis(250);
+  opts.framework.remos_config.cache_ttl = SimTime::seconds(20);
   return opts;
+}
+
+/// Committed repairs in `journal` strictly before `from` and strictly
+/// after `until` (compensation batches are not repairs).
+std::pair<int, int> repairs_outside(const std::vector<std::uint8_t>& journal,
+                                    SimTime from, SimTime until) {
+  std::pair<int, int> counts{0, 0};
+  for (const auto& r : durability::read_journal_bytes(journal).records) {
+    if (r.type != durability::RecordType::OpBatch || r.compensation) continue;
+    if (r.at < from) ++counts.first;
+    if (r.at > until) ++counts.second;
+  }
+  return counts;
 }
 
 int run_profile(const std::string& profile, std::uint64_t seed) {
@@ -123,10 +147,25 @@ int run_profile(const std::string& profile, std::uint64_t seed) {
                     std::to_string(clean_journal.size()) + " bytes, crashed " +
                     std::to_string(crash_journal.size()) + " bytes");
   }
+  // Where the repairs fall relative to the crashes: the ones after the
+  // last crash ran live in a restored segment, with the manifest's costs.
+  // A mid-snapshot point dies at the next snapshot, up to a period later.
+  SimTime last_crash = SimTime::zero();
+  for (const fault::CrashPoint& point : crash_opts.crashes.points) {
+    last_crash = std::max(
+        last_crash,
+        point.at + (point.mid_snapshot
+                        ? crash_opts.framework.durability.snapshot_period
+                        : SimTime::zero()));
+  }
+  const auto [before, after] = repairs_outside(
+      clean_journal, crash_opts.crashes.points.front().at, last_crash);
 
   std::cout << "OK " << profile << ": survived " << crashed.crashes_survived
             << " crashes across " << crashed.segments << " segments, "
-            << crashed.repairs_committed << " repairs committed, journal "
+            << crashed.repairs_committed << " repairs committed (" << before
+            << " before the first crash, " << after
+            << " after the last), journal "
             << crash_journal.size() << " bytes bit-identical to clean run";
   for (const std::string& warning : crashed.warnings) {
     if (!warning.empty()) {

@@ -89,7 +89,6 @@ Framework::Framework(sim::Simulator& sim, sim::Testbed& testbed,
                                                           config_.conventions);
 
   monitor::GaugeManagerConfig gauge_cfg = config_.gauge_costs;
-  gauge_cfg.caching = config_.gauge_caching;
   if (fault_plane_ && gauge_cfg.watchdog_period <= SimTime::zero()) {
     // Faults are on but nobody armed the watchdog: channel disconnects
     // would silently starve the model. Default to one report period.

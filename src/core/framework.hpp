@@ -69,9 +69,9 @@ struct FrameworkConfig {
   bool plan_preemption = false;
   double plan_preempt_factor = 2.0;
 
-  /// Gauge caching/relocation (Section 5.3's proposed speed-up) vs
+  /// Gauge costs and lifecycle; `gauge_costs.caching` selects gauge
+  /// caching/relocation (Section 5.3's proposed speed-up) over
   /// destroy-and-create.
-  bool gauge_caching = false;
   monitor::GaugeManagerConfig gauge_costs;
 
   /// Pre-query Remos at start-up, as the paper's experiment did.

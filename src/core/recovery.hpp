@@ -35,10 +35,8 @@ namespace arcadia::core {
 
 /// What a durable run was built from — enough to re-execute it from t=0.
 /// Written once when the run is first created; read by Framework::restore.
-/// Sub-configs with no codec (env_costs, conventions, remos_config, the
-/// pluggable FrameworkParts) stay at their defaults: a restore of a run
-/// that customized them diverges in catchup verification (a loud
-/// RecoveryError), never silently.
+/// It carries every config member; only the code-valued FrameworkParts
+/// stay out, so a run built with substituted parts restores with defaults.
 struct Manifest {
   std::string scenario;  ///< ScenarioRegistry name
   sim::ScenarioConfig config;

@@ -75,24 +75,6 @@ void Encoder::value(const events::Value& v) {
   }
 }
 
-void Encoder::op(const model::OpRecord& op) {
-  u8(static_cast<std::uint8_t>(op.kind));
-  u32(static_cast<std::uint32_t>(op.scope.size()));
-  for (const auto& s : op.scope) str(s);
-  str(op.element);
-  str(op.sub);
-  str(op.type_name);
-  str(op.property);
-  value(op.value);
-  str(op.attachment.component);
-  str(op.attachment.port);
-  str(op.attachment.connector);
-  str(op.attachment.role);
-  u8(static_cast<std::uint8_t>(op.element_kind));
-  value(op.prev_value);
-  boolean(op.had_prev);
-}
-
 void Decoder::need(std::size_t n) const {
   if (remaining() < n) {
     throw DurabilityError("decode underrun: need " + std::to_string(n) +
@@ -153,33 +135,81 @@ events::Value Decoder::value() {
   }
 }
 
-model::OpRecord Decoder::op() {
-  model::OpRecord op;
-  const std::uint8_t kind = u8();
-  if (kind > static_cast<std::uint8_t>(model::OpKind::SetProperty)) {
-    throw DurabilityError("decode: unknown OpKind tag " + std::to_string(kind));
+std::uint64_t Decoder::in_range(std::uint64_t v, std::uint64_t lo,
+                                std::uint64_t hi, const char* what) {
+  if (v < lo || v > hi) {
+    throw DurabilityError(std::string("decode: ") + what + " " +
+                          std::to_string(v) + " outside [" +
+                          std::to_string(lo) + ", " + std::to_string(hi) +
+                          "]");
   }
-  op.kind = static_cast<model::OpKind>(kind);
-  const std::uint32_t scopes = u32();
-  op.scope.reserve(scopes);
-  for (std::uint32_t i = 0; i < scopes; ++i) op.scope.push_back(str());
-  op.element = str();
-  op.sub = str();
-  op.type_name = str();
-  op.property = str();
-  op.value = value();
-  op.attachment.component = str();
-  op.attachment.port = str();
-  op.attachment.connector = str();
-  op.attachment.role = str();
-  const std::uint8_t ek = u8();
-  if (ek > static_cast<std::uint8_t>(model::ElementKind::System)) {
-    throw DurabilityError("decode: unknown ElementKind tag");
-  }
-  op.element_kind = static_cast<model::ElementKind>(ek);
-  op.prev_value = value();
-  op.had_prev = boolean();
-  return op;
+  return v;
 }
+
+void put_header(Encoder& enc, const char (&magic)[4], std::uint32_t version) {
+  for (const char c : magic) enc.u8(static_cast<std::uint8_t>(c));
+  enc.u32(version);
+}
+
+void check_header(Decoder& dec, const char (&magic)[4], std::uint32_t version,
+                  const std::string& what) {
+  bool ours = dec.remaining() >= 8;
+  for (const char c : magic) {
+    ours = ours && dec.u8() == static_cast<std::uint8_t>(c);
+  }
+  if (!ours) throw DurabilityError("not a " + what + " (bad magic or size)");
+  const std::uint32_t found = dec.u32();
+  if (found != version) {
+    throw DurabilityError("unsupported " + what + " version " +
+                          std::to_string(found) + " (expected " +
+                          std::to_string(version) + ")");
+  }
+}
+
+Decoder open_container(const std::vector<std::uint8_t>& bytes,
+                       const char (&magic)[4], std::uint32_t version,
+                       const std::string& what) {
+  Decoder dec(bytes.data(), bytes.size() < 4 ? 0 : bytes.size() - 4);
+  check_header(dec, magic, version, what);
+  Decoder tail(bytes.data() + bytes.size() - 4, 4);
+  if (crc32(bytes.data(), bytes.size() - 4) != tail.u32()) {
+    throw DurabilityError(what + " CRC mismatch");
+  }
+  return dec;
+}
+
+template <>
+struct EnumRange<model::OpKind> {
+  static constexpr auto first = model::OpKind::AddComponent,
+                        last = model::OpKind::SetProperty;
+};
+template <>
+struct EnumRange<model::ElementKind> {
+  static constexpr auto first = model::ElementKind::Component,
+                        last = model::ElementKind::System;
+};
+
+void fields(auto& io, model::Attachment& a) {
+  auto& [component, port, connector, role] = a;
+  io(component, port, connector, role);
+}
+
+void fields(auto& io, model::OpRecord& op) {
+  auto& [kind, scope, element, sub, type_name, property, value, attachment,
+         element_kind, prev_value, had_prev] = op;
+  io(kind, scope, element, sub, type_name, property, value, attachment,
+     element_kind, prev_value, had_prev);
+}
+
+void fields(auto& io, Rng::State& state) {
+  auto& [s, have_spare, spare] = state;
+  static_assert(sizeof(s) == 4 * sizeof(std::uint64_t), "list every word");
+  io(s[0], s[1], s[2], s[3], have_spare, spare);
+}
+
+template void fields<Encoder>(Encoder&, model::OpRecord&);
+template void fields<Decoder>(Decoder&, model::OpRecord&);
+template void fields<Encoder>(Encoder&, Rng::State&);
+template void fields<Decoder>(Decoder&, Rng::State&);
 
 }  // namespace arcadia::durability

@@ -1,7 +1,5 @@
 #include "durability/snapshot.hpp"
 
-#include <cstring>
-
 #include "durability/io.hpp"
 
 namespace arcadia::durability {
@@ -12,97 +10,32 @@ std::string snapshot_file_name(std::uint64_t lsn) {
   return "snap-" + digits + ".arcs";
 }
 
+void fields(auto& io, GaugeState& g) {
+  auto& [id, live, suspect, last_report] = g;
+  io(id, live, suspect, last_report);
+}
+
+void fields(auto& io, ShardSnapshot& s) {
+  auto& [shard, name, model, model_digest, gauges, health, rng_streams,
+         repairs_committed] = s;
+  io(shard, name, model, model_digest, gauges, health, rng_streams,
+     repairs_committed);
+}
+
+void fields(auto& io, Snapshot& snap) {
+  auto& [lsn, at, shards] = snap;
+  io(lsn, at, shards);
+}
+
+// The trailing CRC detects a torn snapshot (possible only via the .tmp
+// path — the rename is atomic) on load.
 std::vector<std::uint8_t> encode_snapshot(const Snapshot& snap) {
-  Encoder enc;
-  for (const char c : kSnapshotMagic) enc.u8(static_cast<std::uint8_t>(c));
-  enc.u32(kSnapshotVersion);
-  enc.u64(snap.lsn);
-  enc.sim_time(snap.at);
-  enc.u32(static_cast<std::uint32_t>(snap.shards.size()));
-  for (const auto& shard : snap.shards) {
-    enc.u32(shard.shard);
-    enc.str(shard.name);
-    enc.u32(static_cast<std::uint32_t>(shard.model.size()));
-    enc.raw(shard.model);
-    enc.u64(shard.model_digest);
-    enc.u32(static_cast<std::uint32_t>(shard.gauges.size()));
-    for (const auto& g : shard.gauges) {
-      enc.str(g.id);
-      enc.boolean(g.live);
-      enc.boolean(g.suspect);
-      enc.sim_time(g.last_report);
-    }
-    enc.u8(shard.health);
-    enc.u32(static_cast<std::uint32_t>(shard.rng_streams.size()));
-    for (const auto& st : shard.rng_streams) {
-      for (const std::uint64_t word : st.s) enc.u64(word);
-      enc.boolean(st.have_spare);
-      enc.f64(st.spare);
-    }
-    enc.u64(shard.repairs_committed);
-  }
-  // Trailing CRC over everything above, so a torn snapshot (possible only
-  // via the .tmp path — the rename is atomic) is detected on load.
-  const std::uint32_t crc = crc32(enc.bytes().data(), enc.size());
-  enc.u32(crc);
-  return enc.take();
+  return encode_container(kSnapshotMagic, kSnapshotVersion, snap);
 }
 
 Snapshot decode_snapshot(const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() < 8 + 4 ||
-      std::memcmp(bytes.data(), kSnapshotMagic, 4) != 0) {
-    throw DurabilityError("not a snapshot (bad magic/short header)");
-  }
-  {
-    Decoder tail(bytes.data() + bytes.size() - 4, 4);
-    const std::uint32_t want = tail.u32();
-    if (crc32(bytes.data(), bytes.size() - 4) != want) {
-      throw DurabilityError("snapshot CRC mismatch");
-    }
-  }
-  Decoder dec(bytes.data() + 4, bytes.size() - 4 - 4);
-  const std::uint32_t version = dec.u32();
-  if (version != kSnapshotVersion) {
-    throw DurabilityError("snapshot format version " + std::to_string(version));
-  }
-  Snapshot snap;
-  snap.lsn = dec.u64();
-  snap.at = dec.sim_time();
-  const std::uint32_t shards = dec.u32();
-  snap.shards.reserve(shards);
-  for (std::uint32_t i = 0; i < shards; ++i) {
-    ShardSnapshot shard;
-    shard.shard = dec.u32();
-    shard.name = dec.str();
-    const std::uint32_t model_len = dec.u32();
-    shard.model.resize(model_len);
-    for (std::uint32_t b = 0; b < model_len; ++b) shard.model[b] = dec.u8();
-    shard.model_digest = dec.u64();
-    const std::uint32_t gauges = dec.u32();
-    shard.gauges.reserve(gauges);
-    for (std::uint32_t g = 0; g < gauges; ++g) {
-      GaugeState state;
-      state.id = dec.str();
-      state.live = dec.boolean();
-      state.suspect = dec.boolean();
-      state.last_report = dec.sim_time();
-      shard.gauges.push_back(std::move(state));
-    }
-    shard.health = dec.u8();
-    const std::uint32_t streams = dec.u32();
-    shard.rng_streams.reserve(streams);
-    for (std::uint32_t s = 0; s < streams; ++s) {
-      Rng::State st;
-      for (auto& word : st.s) word = dec.u64();
-      st.have_spare = dec.boolean();
-      st.spare = dec.f64();
-      shard.rng_streams.push_back(st);
-    }
-    shard.repairs_committed = dec.u64();
-    snap.shards.push_back(std::move(shard));
-  }
-  if (!dec.done()) throw DurabilityError("trailing bytes in snapshot");
-  return snap;
+  return decode_container<Snapshot>(bytes, kSnapshotMagic, kSnapshotVersion,
+                                    "snapshot");
 }
 
 std::string write_snapshot(const std::string& dir, const Snapshot& snap,

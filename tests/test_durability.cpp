@@ -1,17 +1,21 @@
 // The durability plane's building blocks: the binary codec, journal frame
-// round-trips, the torn-write recovery corpus (truncate/corrupt a golden
-// journal at every offset class and recover the valid prefix — never
-// crash), the model codec + digest + diff, snapshot round-trip/retention,
-// journal replay, the plane's gauge coalescing and group commit, RNG state
-// checkpointing, the fault plane's disconnect-window close-out (straddling
-// windows must not survive finalize), and the suite CSV's failed column.
+// round-trips, byte pins of the journal, snapshot and manifest formats,
+// the torn-write recovery corpus (truncate/corrupt a golden journal at
+// every offset class and recover the valid prefix — never crash), the
+// model codec + digest + diff, snapshot round-trip/retention and count
+// hardening, journal replay, the plane's gauge coalescing and group
+// commit, RNG state checkpointing, the fault plane's disconnect-window
+// close-out (straddling windows must not survive finalize), and the suite
+// CSV's failed column.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/recovery.hpp"
 #include "core/report.hpp"
 #include "core/suite.hpp"
 #include "durability/codec.hpp"
@@ -74,7 +78,7 @@ TEST(CodecTest, ScalarAndStringRoundTrip) {
   enc.f64(3.25);
   enc.boolean(true);
   enc.str("hello");
-  enc.sim_time(SimTime::millis(1500));
+  enc(SimTime::millis(1500));
 
   Decoder dec(enc.bytes());
   EXPECT_EQ(dec.u8(), 7);
@@ -84,7 +88,9 @@ TEST(CodecTest, ScalarAndStringRoundTrip) {
   EXPECT_DOUBLE_EQ(dec.f64(), 3.25);
   EXPECT_TRUE(dec.boolean());
   EXPECT_EQ(dec.str(), "hello");
-  EXPECT_EQ(dec.sim_time(), SimTime::millis(1500));
+  SimTime t;
+  dec(t);
+  EXPECT_EQ(t, SimTime::millis(1500));
   EXPECT_TRUE(dec.done());
 }
 
@@ -132,7 +138,8 @@ JournalRecord make_op_batch(std::uint64_t lsn) {
   return r;
 }
 
-TEST(JournalTest, EveryRecordTypeRoundTrips) {
+/// One record of every type (the journal golden set).
+std::vector<JournalRecord> golden_records() {
   std::vector<JournalRecord> golden;
   golden.push_back(make_op_batch(1));
 
@@ -174,7 +181,11 @@ TEST(JournalTest, EveryRecordTypeRoundTrips) {
   mark.snapshot_file = "snap-0000000000000004.arcs";
   mark.model_digest = 0xFEEDFACEull;
   golden.push_back(mark);
+  return golden;
+}
 
+TEST(JournalTest, EveryRecordTypeRoundTrips) {
+  const std::vector<JournalRecord> golden = golden_records();
   std::vector<std::uint8_t> bytes = journal_header();
   for (const JournalRecord& r : golden) {
     const std::vector<std::uint8_t> frame = encode_frame(r);
@@ -205,8 +216,8 @@ TEST(JournalTest, EveryRecordTypeRoundTrips) {
   EXPECT_EQ(result.records[2].gauges[0].sub, "clientSide");
   EXPECT_EQ(result.records[2].gauges[1].value, events::Value(0.9));
   ASSERT_EQ(result.records[3].rng_streams.size(), 1u);
-  EXPECT_EQ(result.records[3].rng_streams[0], stream.save_state());
-  EXPECT_EQ(result.records[4].snapshot_file, mark.snapshot_file);
+  EXPECT_EQ(result.records[3].rng_streams[0], golden[3].rng_streams[0]);
+  EXPECT_EQ(result.records[4].snapshot_file, golden[4].snapshot_file);
 }
 
 TEST(JournalTest, BadHeaderThrows) {
@@ -339,6 +350,54 @@ TEST(SnapshotTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(shard.health, 1);
   EXPECT_EQ(shard.rng_streams, snap.shards[0].rng_streams);
   EXPECT_EQ(shard.repairs_committed, 2u);
+}
+
+// A CRC-valid snapshot whose gauge count claims more elements than there
+// are bytes must be refused before anything is allocated for them.
+TEST(SnapshotTest, OversizedGaugeCountThrowsBeforeAllocating) {
+  const Snapshot snap = make_snapshot(41);
+  std::vector<std::uint8_t> bytes = encode_snapshot(snap);
+  // magic, version, lsn, at, shard count, shard, name, model, digest.
+  const std::size_t at = 4 + 4 + 8 + 8 + 4 + 4 + (4 + 4) +
+                         (4 + snap.shards[0].model.size()) + 8;
+  ASSERT_EQ(bytes[at], 1u);  // the one gauge
+  for (std::size_t i = 0; i < 4; ++i) bytes[at + i] = 0xFF;
+  Encoder crc;
+  crc.u32(crc32(bytes.data(), bytes.size() - 4));
+  std::copy(crc.bytes().begin(), crc.bytes().end(), bytes.end() - 4);
+  EXPECT_THROW(decode_snapshot(bytes), DurabilityError);
+}
+
+// ---- format pins ---------------------------------------------------------
+//
+// Journal and snapshot bytes are a durable format: these hashes were taken
+// from the hand-written v1 codec, and any layout change must bump the
+// format version instead of editing them.
+
+TEST(FormatPinTest, JournalFramesKeepTheirV1Bytes) {
+  const std::vector<std::uint64_t> pins = {
+      0xcb77420094f231e2ull, 0x37f44591be5da3beull,
+      0xc2ee11042220e842ull, 0xd1110870e0636ca5ull,
+      0xd76a3b4b942ecd86ull};
+  const std::vector<JournalRecord> golden = golden_records();
+  ASSERT_EQ(golden.size(), pins.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    EXPECT_EQ(fnv1a(encode_frame(golden[i])), pins[i])
+        << to_string(golden[i].type);
+  }
+}
+
+TEST(FormatPinTest, SnapshotKeepsItsV1Bytes) {
+  EXPECT_EQ(fnv1a(encode_snapshot(make_snapshot(41))), 0x69eba03ddf497615ull);
+}
+
+// The manifest's v2 layout: a change to any config struct's members or to
+// a field list moves this hash, and must bump kManifestVersion with it.
+TEST(FormatPinTest, DefaultManifestKeepsItsV2Bytes) {
+  const std::string dir = scratch_dir("manifest-pin");
+  core::write_manifest(dir, core::Manifest{});
+  EXPECT_EQ(fnv1a(read_file(dir + "/" + core::kManifestFile)),
+            0x4b5f6ad921e6d4adull);
 }
 
 TEST(SnapshotTest, WriteListLoadAndPrune) {

@@ -149,7 +149,7 @@ TEST(IntegrationTest, PlanPipelineShortensRepairs) {
 TEST(IntegrationTest, GaugeCachingShortensRepairs) {
   ExperimentOptions opt = short_options();
   opt.adaptation = true;
-  opt.framework.gauge_caching = true;
+  opt.framework.gauge_costs.caching = true;
   ExperimentResult r = run_experiment(opt);
   int counted = 0;
   for (const auto& rec : r.repairs) {
@@ -281,7 +281,7 @@ std::string golden_line(const repair::RepairRecord& r) {
        << span.ops_end << ",";
   }
   durability::Encoder journal;
-  for (const model::OpRecord& op : r.journal) journal.op(op);
+  for (const model::OpRecord& op : r.journal) journal(op);
   std::string ops;
   for (const std::string& op : r.ops) ops += op + "\n";
   os << " journal=" << r.journal.size() << ":"
